@@ -10,29 +10,14 @@ one is built from, and executable laws showing they agree.
 
 from __future__ import annotations
 
-from .combinatorics import (
-    ShapeIndex,
-    binomial,
-    bounded_holds,
-    ch,
-    check_shape,
-    choose,
-    spine_sizes,
-    subs,
-)
+from .combinatorics import ch, check_shape, choose, spine_sizes, subs
 from .core_tree import (
     BinomialTree,
     Node,
     Tip,
-    count_tips,
-    decode_tree,
     encode_tree,
-    extract_singleton,
-    iter_compose,
     map_tree,
-    snoc,
     tips,
-    tree_from_doc,
     tree_to_doc,
     un_tip,
     zip_tree_with,
@@ -44,7 +29,6 @@ from .errors import (
     NotATip,
     NotSingleton,
     OutOfRange,
-    Overflow,
     ShapeMismatch,
     SublistsError,
 )
@@ -53,18 +37,12 @@ from .instances import (
     MODSUM,
     MODULUS,
     TRACE,
-    GoldenCase,
     builtin_problems,
-    case_from_json_line,
-    case_to_json_line,
-    evaluate_golden_case,
     example_input,
     get_problem,
-    golden_relpath,
-    golden_suite,
     parse_input,
 )
-from .level_engine import Level, step, up, upgrade_oracle
+from .level_engine import step, up, upgrade_oracle
 from .solver import (
     Algorithm,
     RunStats,
@@ -73,7 +51,6 @@ from .solver import (
     run_with_stats,
     solve,
     td,
-    td_prime,
 )
 
 __version__ = "0.1.0"
@@ -82,8 +59,6 @@ __all__ = [
     "Algorithm",
     "BinomialTree",
     "EmptyInput",
-    "GoldenCase",
-    "Level",
     "LengthMismatch",
     "MAXMIN",
     "MODSUM",
@@ -93,45 +68,29 @@ __all__ = [
     "NotATip",
     "NotSingleton",
     "OutOfRange",
-    "Overflow",
     "RunStats",
-    "ShapeIndex",
     "ShapeMismatch",
     "SublistProblem",
     "SublistsError",
     "TRACE",
     "Tip",
-    "binomial",
-    "bounded_holds",
     "bu",
     "builtin_problems",
-    "case_from_json_line",
-    "case_to_json_line",
     "ch",
     "check_shape",
     "choose",
-    "count_tips",
-    "decode_tree",
     "encode_tree",
-    "evaluate_golden_case",
     "example_input",
-    "extract_singleton",
     "get_problem",
-    "golden_relpath",
-    "golden_suite",
-    "iter_compose",
     "map_tree",
     "parse_input",
     "run_with_stats",
-    "snoc",
     "solve",
     "spine_sizes",
     "step",
     "subs",
     "td",
-    "td_prime",
     "tips",
-    "tree_from_doc",
     "tree_to_doc",
     "un_tip",
     "up",

@@ -4,9 +4,11 @@ Subcommands:
 
 * ``run``: evaluate one problem on one input, top-down, bottom-up, or
   both with an EQUAL/DIFFER verdict.
-* ``verify``: replay the library's laws over alphabet prefixes and print
-  per-law pass counts; the first counterexample stops the sweep.
+* ``verify``: replay the law registry (``sublists.laws``) over alphabet
+  prefixes and print per-law pass counts; the first counterexample stops
+  the sweep.
 * ``dump``: print a choice tree (or its raised form) as canonical JSON.
+  Inputs longer than ``RUN_MAX_INPUT`` are refused before any tree is built.
 * ``bench``: emit CSV rows comparing call counts and wall time.
 
 Exit codes: 0 success, 1 a law or equivalence check failed, 2 usage
@@ -16,34 +18,19 @@ error (unknown problem, malformed input, out-of-range parameters).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 import time
-from dataclasses import dataclass
-from string import ascii_lowercase
 
 from . import combinatorics as comb
 from . import core_tree as tree
-from . import instances
+from . import instances, laws
 from . import level_engine as lvl
 from . import solver
 from .errors import SublistsError
 
 RUN_MAX_INPUT = 20
 SWEEP_MAX_LEN = 12  # td cost grows factorially; verify and bench share the guard
-
-
-@dataclass
-class CliConfig:
-    command: str
-    problem: str | None = None
-    input: str | None = None
-    algo: str = "both"
-    max_len: int = 9
-    format: str = "text"
-    k: int | None = None
-    stage: str = "tree"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,149 +66,12 @@ def _usage(message: str) -> int:
     return 2
 
 
-class _Counterexample(Exception):
-    def __init__(self, law: str, info: dict):
-        super().__init__(law)
-        self.law = law
-        self.info = info
-
-
-def _expect(ok: bool, law: str, **info) -> None:
-    if not ok:
-        raise _Counterexample(law, info)
-
-
-def _prefixes(max_len: int):
-    for n in range(2, max_len + 1):
-        yield n, ascii_lowercase[:n]
-
-
-def _law_upgrade_level(max_len: int) -> int:
-    """Raising the level-k tree equals mapping subs over the level-k+1 tree."""
-    cases = 0
-    for n, xs in _prefixes(max_len):
-        for k in range(1, n):
-            lhs = lvl.up(comb.ch(k, xs))
-            rhs = tree.map_tree(comb.subs, comb.ch(k + 1, xs))
-            _expect(
-                lhs == rhs,
-                "upgrade-level",
-                input=xs,
-                k=k,
-                lhs=tree.encode_tree(lhs),
-                rhs=tree.encode_tree(rhs),
-            )
-            cases += 1
-    return cases
-
-
-def _law_upgrade_tips(max_len: int) -> int:
-    """Tips of the raised tree equal the list-level oracle, in order."""
-    cases = 0
-    for n, xs in _prefixes(max_len):
-        for k in range(1, n):
-            lhs = tree.tips(lvl.up(comb.ch(k, xs)))
-            rhs = lvl.upgrade_oracle(k, xs)
-            _expect(
-                lhs == rhs,
-                "upgrade-tips",
-                input=xs,
-                k=k,
-                lhs=json.dumps(lhs, separators=(",", ":")),
-                rhs=json.dumps(rhs, separators=(",", ":")),
-            )
-            cases += 1
-    return cases
-
-
-def _law_singleton_collapse(max_len: int) -> int:
-    """One final raise of the level-(n-1) tree collapses to subs itself."""
-    cases = 0
-    for n, xs in _prefixes(max_len):
-        lhs = tree.un_tip(lvl.up(comb.ch(n - 1, xs)))
-        rhs = comb.subs(xs)
-        _expect(
-            lhs == rhs,
-            "singleton-collapse",
-            input=xs,
-            lhs=json.dumps(lhs, separators=(",", ":")),
-            rhs=json.dumps(rhs, separators=(",", ":")),
-        )
-        cases += 1
-    return cases
-
-
-def _law_pascal_spine(max_len: int) -> int:
-    """Right-spine tip counts walk a diagonal of Pascal's triangle."""
-    cases = 0
-    for n, xs in _prefixes(max_len):
-        for k in range(1, n + 1):
-            lhs = comb.spine_sizes(comb.ch(k, xs))
-            rhs = [comb.binomial(m, k) for m in range(n, k - 1, -1)]
-            _expect(lhs == rhs, "pascal-spine", input=xs, k=k, lhs=str(lhs), rhs=str(rhs))
-            cases += 1
-    return cases
-
-
-def _law_shape_advance(max_len: int) -> int:
-    """Raising a (k, n) tree yields a (k+1, n) tree of (k+1)-long tips."""
-    cases = 0
-    for n, xs in _prefixes(max_len):
-        for k in range(1, n):
-            t = comb.ch(k, xs)
-            _expect(comb.check_shape(t, (k, n)), "shape-advance", input=xs, k=k, side="before")
-            u = lvl.up(t)
-            _expect(
-                comb.check_shape(u, (k + 1, n)),
-                "shape-advance",
-                input=xs,
-                k=k,
-                side="after",
-                tree=tree.encode_tree(u),
-            )
-            _expect(
-                all(len(v) == k + 1 for v in tree.tips(u)),
-                "shape-advance",
-                input=xs,
-                k=k,
-                side="tip-length",
-            )
-            cases += 1
-    return cases
-
-
-def _law_td_bu(problem: solver.SublistProblem, max_len: int) -> int:
-    """The two evaluators agree on every distinct-symbol input."""
-    law = f"td-bu[{problem.name}]"
-    cases = 0
-    for length in range(1, max_len + 1):
-        xs = instances.example_input(problem, length)
-        a = solver.td(length - 1, problem, xs)
-        b = solver.bu(length - 1, problem, xs)
-        _expect(a == b, law, input=str(xs), lhs=str(a), rhs=str(b))
-        cases += 1
-    return cases
-
-
-def _laws():
-    entries = [
-        ("pascal-spine", _law_pascal_spine),
-        ("shape-advance", _law_shape_advance),
-        ("singleton-collapse", _law_singleton_collapse),
-        ("upgrade-level", _law_upgrade_level),
-        ("upgrade-tips", _law_upgrade_tips),
-    ]
-    for problem in instances.builtin_problems():
-        entries.append((f"td-bu[{problem.name}]", functools.partial(_law_td_bu, problem)))
-    return sorted(entries)
-
-
-def cmd_run(cfg: CliConfig) -> int:
-    problem = instances.get_problem(cfg.problem)
+def cmd_run(args: argparse.Namespace) -> int:
+    problem = instances.get_problem(args.problem)
     if problem is None:
-        return _usage(f"unknown problem {cfg.problem!r}")
+        return _usage(f"unknown problem {args.problem!r}")
     try:
-        xs = instances.parse_input(problem, cfg.input)
+        xs = instances.parse_input(problem, args.input)
     except ValueError as exc:
         return _usage(str(exc))
     if len(xs) == 0:
@@ -234,18 +84,18 @@ def cmd_run(cfg: CliConfig) -> int:
         "td": [solver.Algorithm.TOP_DOWN],
         "bu": [solver.Algorithm.BOTTOM_UP],
         "both": [solver.Algorithm.TOP_DOWN, solver.Algorithm.BOTTOM_UP],
-    }[cfg.algo]
+    }[args.algo]
     outcomes = [(algo, *solver.run_with_stats(algo, n, problem, xs)) for algo in algos]
 
     verdict = None
     if len(outcomes) == 2:
         verdict = "EQUAL" if outcomes[0][1] == outcomes[1][1] else "DIFFER"
 
-    if cfg.format == "json":
+    if args.format == "json":
         doc = {
             "command": "run",
             "problem": problem.name,
-            "input": cfg.input,
+            "input": args.input,
             "results": {
                 algo.value: {
                     "value": value,
@@ -273,15 +123,13 @@ def cmd_run(cfg: CliConfig) -> int:
     return 1 if verdict == "DIFFER" else 0
 
 
-def cmd_verify(cfg: CliConfig) -> int:
-    if not 1 <= cfg.max_len <= SWEEP_MAX_LEN:
+def cmd_verify(args: argparse.Namespace) -> int:
+    if not 1 <= args.max_len <= SWEEP_MAX_LEN:
         return _usage(f"--max-len must be between 1 and {SWEEP_MAX_LEN}")
-    results: list[tuple[str, int]] = []
     try:
-        for name, law in _laws():
-            results.append((name, law(cfg.max_len)))
-    except _Counterexample as cx:
-        if cfg.format == "json":
+        results = laws.replay_all(args.max_len)
+    except laws.Counterexample as cx:
+        if args.format == "json":
             doc = {"command": "verify", "status": "fail", "law": cx.law, "counterexample": cx.info}
             print(json.dumps(doc, separators=(",", ":")))
         else:
@@ -290,11 +138,11 @@ def cmd_verify(cfg: CliConfig) -> int:
                 print(f"  {key}: {value}")
         return 1
     total = sum(count for _, count in results)
-    if cfg.format == "json":
+    if args.format == "json":
         doc = {
             "command": "verify",
             "status": "ok",
-            "max_len": cfg.max_len,
+            "max_len": args.max_len,
             "laws": [{"name": name, "cases": count} for name, count in results],
             "total_cases": total,
         }
@@ -306,27 +154,29 @@ def cmd_verify(cfg: CliConfig) -> int:
     return 0
 
 
-def cmd_dump(cfg: CliConfig) -> int:
-    xs = cfg.input
-    if not 0 <= cfg.k <= len(xs):
+def cmd_dump(args: argparse.Namespace) -> int:
+    xs = args.input
+    if len(xs) > RUN_MAX_INPUT:
+        return _usage(f"input length {len(xs)} exceeds the limit of {RUN_MAX_INPUT}")
+    if not 0 <= args.k <= len(xs):
         return _usage(f"--k must be between 0 and the input length {len(xs)}")
-    if cfg.stage == "after-up" and not 1 <= cfg.k < len(xs):
+    if args.stage == "after-up" and not 1 <= args.k < len(xs):
         return _usage("--stage after-up needs 1 <= k < input length")
-    t = comb.ch(cfg.k, xs)
-    if cfg.stage == "after-up":
+    t = comb.ch(args.k, xs)
+    if args.stage == "after-up":
         t = lvl.up(t)
     print(tree.encode_tree(t))
     return 0
 
 
-def cmd_bench(cfg: CliConfig) -> int:
-    if not 0 <= cfg.max_len <= SWEEP_MAX_LEN:
+def cmd_bench(args: argparse.Namespace) -> int:
+    if not 0 <= args.max_len <= SWEEP_MAX_LEN:
         return _usage(f"--max-len must be between 0 and {SWEEP_MAX_LEN}")
-    problem = instances.get_problem(cfg.problem)
+    problem = instances.get_problem(args.problem)
     if problem is None:
-        return _usage(f"unknown problem {cfg.problem!r}")
+        return _usage(f"unknown problem {args.problem!r}")
     print("n,td_g_calls,bu_g_calls,td_wall_ns,bu_wall_ns")
-    for n in range(0, cfg.max_len + 1):
+    for n in range(0, args.max_len + 1):
         xs = instances.example_input(problem, n + 1)
         t0 = time.perf_counter_ns()
         _, td_stats = solver.run_with_stats(solver.Algorithm.TOP_DOWN, n, problem, xs)
@@ -343,18 +193,8 @@ _HANDLERS = {"run": cmd_run, "verify": cmd_verify, "dump": cmd_dump, "bench": cm
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = CliConfig(
-        command=args.command,
-        problem=getattr(args, "problem", None),
-        input=getattr(args, "input", None),
-        algo=getattr(args, "algo", "both"),
-        max_len=getattr(args, "max_len", 9),
-        format=getattr(args, "format", "text"),
-        k=getattr(args, "k", None),
-        stage=getattr(args, "stage", "tree"),
-    )
     try:
-        return _HANDLERS[cfg.command](cfg)
+        return _HANDLERS[args.command](args)
     except SublistsError as exc:
         # domain errors reaching here mean the request itself was unusable
         return _usage(str(exc))

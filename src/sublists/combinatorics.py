@@ -1,23 +1,21 @@
 """Sublist and combination generators, plus shape-index validation.
 
-Everything here is polymorphic over sliceable sequences: strings, lists
-and tuples all work, and results keep the kind of the input (``subs`` of a
-string is a list of strings, ``subs`` of a list of ints is a list of int
+Inputs are ``str``, ``list`` or ``tuple``: sequences whose slices
+concatenate with ``+`` (a ``range`` does not qualify, since ``range +
+range`` raises TypeError). Results keep the kind of the input (``subs`` of
+a string is a list of strings, ``subs`` of a list of ints is a list of int
 lists). Generation order is fixed and load-bearing throughout: it is the
 order the level-raising step reproduces.
 """
 
 from __future__ import annotations
 
-import math
-from typing import NamedTuple, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 from .core_tree import BinomialTree, Node, Tip, count_tips, map_tree
-from .errors import OutOfRange, Overflow
+from .errors import OutOfRange
 
 S = TypeVar("S", bound=Sequence)
-
-_UINT64_MAX = 2**64 - 1
 
 
 def subs(xs: S) -> list[S]:
@@ -66,20 +64,7 @@ def ch(k: int, xs: S) -> BinomialTree[S]:
     return Node(map_tree(lambda ys: head + ys, ch(k - 1, tail)), ch(k, tail))
 
 
-class ShapeIndex(NamedTuple):
-    """Index (k, n): the shape of the tree for k-of-n selections."""
-
-    k: int
-    n: int
-
-
-def bounded_holds(idx: ShapeIndex | tuple[int, int]) -> bool:
-    """True iff the index satisfies k <= n."""
-    k, n = idx
-    return k <= n
-
-
-def check_shape(t: BinomialTree, idx: ShapeIndex | tuple[int, int]) -> bool:
+def check_shape(t: BinomialTree, idx: tuple[int, int]) -> bool:
     """Decide whether ``t`` has the shape the index (k, n) dictates.
 
     A tip is valid for (0, n) with any n, and for (k, k) with k >= 1.
@@ -88,18 +73,12 @@ def check_shape(t: BinomialTree, idx: ShapeIndex | tuple[int, int]) -> bool:
     for (k, n - 1). A valid index always satisfies k <= n, and the index
     determines the shape completely.
     """
-    stack: list[tuple[BinomialTree, int, int]] = [(t, int(idx[0]), int(idx[1]))]
-    while stack:
-        current, k, n = stack.pop()
-        if isinstance(current, Tip):
-            if not (k == 0 or k == n):
-                return False
-        else:
-            if k < 1 or n < 1:
-                return False
-            stack.append((current.left, k - 1, n - 1))
-            stack.append((current.right, k, n - 1))
-    return True
+    k, n = idx
+    if isinstance(t, Tip):
+        return k == 0 or k == n
+    if k < 1 or n < 1:
+        return False
+    return check_shape(t.left, (k - 1, n - 1)) and check_shape(t.right, (k, n - 1))
 
 
 def spine_sizes(t: BinomialTree) -> list[int]:
@@ -109,14 +88,3 @@ def spine_sizes(t: BinomialTree) -> list[int]:
         t = t.right
         sizes.append(count_tips(t))
     return sizes
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k), exact. OutOfRange unless 0 <= k <= n; results beyond the
-    64-bit unsigned range raise Overflow rather than silently growing."""
-    if k < 0 or n < 0 or k > n:
-        raise OutOfRange(f"C({n}, {k}) is undefined here")
-    value = math.comb(n, k)
-    if value > _UINT64_MAX:
-        raise Overflow(f"C({n}, {k}) exceeds the supported integer range")
-    return value

@@ -1,14 +1,14 @@
 """Tip-valued binary trees and the generic combinators over them.
 
 Trees are immutable; every combinator returns a fresh structure and never
-mutates its argument. Traversals use explicit stacks instead of recursion,
-so they stay safe even for trees much deeper than the desk-scale inputs
-this package builds (tree depth never exceeds the source-sequence length).
+mutates its argument. Traversals are plain recursion: tree depth never
+exceeds the source-sequence length, and ``ch``, ``up`` and ``subs``
+already recurse that deep.
 
 A tree also has a canonical JSON document form: a tip is ``{"tip": value}``
 and a node is ``{"node": [left, right]}``, serialized with no extra
-whitespace. ``decode_tree(encode_tree(t)) == t`` for every tree whose tip
-values are strings, numbers, or (nested) lists of those.
+whitespace. Tip values must be strings, numbers, or (nested) lists or
+tuples of those; tuples are written as lists.
 """
 
 from __future__ import annotations
@@ -44,21 +44,9 @@ BinomialTree = Union[Tip[A], Node[A]]
 
 def map_tree(f: Callable[[A], B], t: BinomialTree[A]) -> BinomialTree[B]:
     """Apply ``f`` to every tip value, preserving the shape of ``t``."""
-    out: list[BinomialTree[B]] = []
-    stack: list[tuple[BinomialTree[A], bool]] = [(t, False)]
-    while stack:
-        current, rebuild = stack.pop()
-        if rebuild:
-            right = out.pop()
-            left = out.pop()
-            out.append(Node(left, right))
-        elif isinstance(current, Tip):
-            out.append(Tip(f(current.value)))
-        else:
-            stack.append((current, True))
-            stack.append((current.right, False))
-            stack.append((current.left, False))
-    return out[0]
+    if isinstance(t, Tip):
+        return Tip(f(t.value))
+    return Node(map_tree(f, t.left), map_tree(f, t.right))
 
 
 def zip_tree_with(
@@ -69,23 +57,20 @@ def zip_tree_with(
     Raises ShapeMismatch carrying the path (L/R turns from the root) to
     the first point, in left-to-right order, where the shapes diverge.
     """
-    out: list[BinomialTree[C]] = []
-    stack: list[tuple[Any, Any, tuple[str, ...], bool]] = [(t, u, (), False)]
-    while stack:
-        a, b, path, rebuild = stack.pop()
-        if rebuild:
-            right = out.pop()
-            left = out.pop()
-            out.append(Node(left, right))
-        elif isinstance(a, Tip) and isinstance(b, Tip):
-            out.append(Tip(f(a.value, b.value)))
-        elif isinstance(a, Node) and isinstance(b, Node):
-            stack.append((a, b, path, True))
-            stack.append((a.right, b.right, path + ("R",), False))
-            stack.append((a.left, b.left, path + ("L",), False))
-        else:
-            raise ShapeMismatch(path)
-    return out[0]
+    if isinstance(t, Tip) and isinstance(u, Tip):
+        return Tip(f(t.value, u.value))
+    if isinstance(t, Node) and isinstance(u, Node):
+        # the path is built only while a mismatch unwinds, never on success
+        try:
+            left = zip_tree_with(f, t.left, u.left)
+        except ShapeMismatch as exc:
+            raise ShapeMismatch(("L", *exc.path)) from None
+        try:
+            right = zip_tree_with(f, t.right, u.right)
+        except ShapeMismatch as exc:
+            raise ShapeMismatch(("R", *exc.path)) from None
+        return Node(left, right)
+    raise ShapeMismatch()
 
 
 def un_tip(t: BinomialTree[A]) -> A:
@@ -111,39 +96,18 @@ def snoc(ys, z):
     return [*ys, z]
 
 
-def iter_compose(k: int, f: Callable[[A], A], x: A) -> A:
-    """Apply ``f`` to ``x`` exactly ``k`` times."""
-    for _ in range(k):
-        x = f(x)
-    return x
-
-
 def tips(t: BinomialTree[A]) -> list[A]:
     """All tip values of ``t`` in left-to-right order."""
-    out: list[A] = []
-    stack: list[BinomialTree[A]] = [t]
-    while stack:
-        current = stack.pop()
-        if isinstance(current, Tip):
-            out.append(current.value)
-        else:
-            stack.append(current.right)
-            stack.append(current.left)
-    return out
+    if isinstance(t, Tip):
+        return [t.value]
+    return tips(t.left) + tips(t.right)
 
 
 def count_tips(t: BinomialTree[A]) -> int:
     """Number of tips of ``t``; cheaper than ``len(tips(t))``."""
-    n = 0
-    stack: list[BinomialTree[A]] = [t]
-    while stack:
-        current = stack.pop()
-        if isinstance(current, Tip):
-            n += 1
-        else:
-            stack.append(current.left)
-            stack.append(current.right)
-    return n
+    if isinstance(t, Tip):
+        return 1
+    return count_tips(t.left) + count_tips(t.right)
 
 
 def _value_to_doc(v: Any) -> Any:
@@ -156,64 +120,13 @@ def _value_to_doc(v: Any) -> Any:
     raise TypeError(f"tip value {v!r} has no document form")
 
 
-def _value_from_doc(v: Any) -> Any:
-    if isinstance(v, bool):
-        raise ValueError("boolean is not a valid tip value")
-    if isinstance(v, (str, int, float)):
-        return v
-    if isinstance(v, list):
-        return [_value_from_doc(x) for x in v]
-    raise ValueError(f"{v!r} is not a valid tip value")
-
-
 def tree_to_doc(t: BinomialTree[Any]) -> dict[str, Any]:
     """Plain-dict document form of ``t`` (see the module docstring)."""
-    out: list[dict[str, Any]] = []
-    stack: list[tuple[BinomialTree[Any], bool]] = [(t, False)]
-    while stack:
-        current, rebuild = stack.pop()
-        if rebuild:
-            right = out.pop()
-            left = out.pop()
-            out.append({"node": [left, right]})
-        elif isinstance(current, Tip):
-            out.append({"tip": _value_to_doc(current.value)})
-        else:
-            stack.append((current, True))
-            stack.append((current.right, False))
-            stack.append((current.left, False))
-    return out[0]
-
-
-def tree_from_doc(doc: Any) -> BinomialTree[Any]:
-    """Rebuild a tree from its document form; ValueError if malformed."""
-    out: list[BinomialTree[Any]] = []
-    stack: list[tuple[Any, bool]] = [(doc, False)]
-    while stack:
-        d, rebuild = stack.pop()
-        if rebuild:
-            right = out.pop()
-            left = out.pop()
-            out.append(Node(left, right))
-            continue
-        if not isinstance(d, dict) or len(d) != 1:
-            raise ValueError(f"not a tree document: {d!r}")
-        if "tip" in d:
-            out.append(Tip(_value_from_doc(d["tip"])))
-        elif "node" in d and isinstance(d["node"], list) and len(d["node"]) == 2:
-            stack.append((d, True))
-            stack.append((d["node"][1], False))
-            stack.append((d["node"][0], False))
-        else:
-            raise ValueError(f"not a tree document: {d!r}")
-    return out[0]
+    if isinstance(t, Tip):
+        return {"tip": _value_to_doc(t.value)}
+    return {"node": [tree_to_doc(t.left), tree_to_doc(t.right)]}
 
 
 def encode_tree(t: BinomialTree[Any]) -> str:
     """Canonical JSON text for ``t``: compact separators, no whitespace."""
     return json.dumps(tree_to_doc(t), separators=(",", ":"))
-
-
-def decode_tree(text: str) -> BinomialTree[Any]:
-    """Inverse of encode_tree (lists and tuples both come back as lists)."""
-    return tree_from_doc(json.loads(text))

@@ -36,10 +36,6 @@ class OutOfRange(SublistsError):
     """A selection count k lies outside the valid range for its input."""
 
 
-class Overflow(SublistsError):
-    """An exact count no longer fits the supported integer range."""
-
-
 class MalformedLevel(SublistsError):
     """A tree fed to the level-raising step is not shaped like one."""
 

@@ -1,4 +1,4 @@
-"""Built-in problems and the golden expected-value suite.
+"""Built-in problems and the parsing of their inputs.
 
 Three problems ship with the package:
 
@@ -8,25 +8,13 @@ Three problems ship with the package:
 * ``modsum``: order-sensitive modular arithmetic; each combined value is
   weighted by its 1-based position before summing.
 * ``maxmin``: max minus min, order-insensitive on purpose, as a control.
-
-Golden cases live both here (the authoritative list) and as one-line
-JSONL files under ``golden/<problem>/<input>.jsonl`` at the repository
-root. Cases that exercise an operation rather than a registered problem
-encode the operation and its count parameter in the problem slot:
-``subs``, ``choose-3``, ``spine-2``. List inputs name files with
-dash-joined tokens (``1-2-3.jsonl``).
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from pathlib import PurePosixPath
 from string import ascii_lowercase
-from typing import Any
 
-from .combinatorics import ch, choose, spine_sizes, subs
-from .solver import Algorithm, SublistProblem, solve
+from .solver import SublistProblem
 
 MODULUS = 1_000_003
 
@@ -93,108 +81,3 @@ def example_input(problem: SublistProblem, length: int):
     if length > len(ascii_lowercase):
         raise ValueError(f"cannot build a {length}-letter example input")
     return ascii_lowercase[:length]
-
-
-@dataclass(frozen=True)
-class GoldenCase:
-    """One frozen expected value.
-
-    ``algorithm`` is "td", "bu", "both", or None for cases that exercise
-    an operation instead of a registered problem. ``provenance`` records
-    how the expected value was obtained: "worked-example" (authoritative
-    published example), "reference-run" (generated by the td reference
-    evaluator, then reviewed against an independent computation), or
-    "definitional" (true by definition).
-    """
-
-    problem_name: str
-    input: Any
-    algorithm: str | None
-    expected: Any
-    provenance: str
-
-
-def golden_suite() -> list[GoldenCase]:
-    """Every golden case, in file-path order."""
-    return [
-        GoldenCase(
-            "choose-3",
-            "abcde",
-            None,
-            ["abc", "abd", "abe", "acd", "ace", "ade", "bcd", "bce", "bde", "cde"],
-            "worked-example",
-        ),
-        GoldenCase("maxmin", [3, 1, 4, 1, 5], "both", 1, "reference-run"),
-        GoldenCase("modsum", [1, 2, 3], "both", 50, "reference-run"),
-        GoldenCase("spine-2", "abcde", None, [10, 6, 3, 1], "worked-example"),
-        GoldenCase(
-            "subs",
-            "abcde",
-            None,
-            ["abcd", "abce", "abde", "acde", "bcde"],
-            "worked-example",
-        ),
-        GoldenCase("trace", "ab", "both", "(ab)", "reference-run"),
-        GoldenCase("trace", "abc", "both", "((ab)(ac)(bc))", "reference-run"),
-    ]
-
-
-def evaluate_golden_case(case: GoldenCase) -> Any:
-    """Compute the value a golden case describes, fresh.
-
-    Solver cases run under every algorithm they name and must agree;
-    operation cases dispatch on the encoded operation name.
-    """
-    name = case.problem_name
-    if name == "subs":
-        return subs(case.input)
-    if name.startswith("choose-"):
-        return choose(int(name.split("-", 1)[1]), case.input)
-    if name.startswith("spine-"):
-        return spine_sizes(ch(int(name.split("-", 1)[1]), case.input))
-    problem = get_problem(name)
-    if problem is None:
-        raise ValueError(f"golden case names unknown problem {name!r}")
-    algos = {
-        "td": [Algorithm.TOP_DOWN],
-        "bu": [Algorithm.BOTTOM_UP],
-        "both": [Algorithm.TOP_DOWN, Algorithm.BOTTOM_UP],
-    }[case.algorithm or "both"]
-    values = [solve(problem, case.input, algo) for algo in algos]
-    if any(v != values[0] for v in values[1:]):
-        raise RuntimeError(f"algorithms disagree on golden case {name!r}: {values}")
-    return values[0]
-
-
-def _input_token(value: Any) -> str:
-    if isinstance(value, str):
-        return value
-    return "-".join(str(v) for v in value)
-
-
-def golden_relpath(case: GoldenCase) -> PurePosixPath:
-    """Repository-relative path of the case's JSONL file."""
-    return PurePosixPath("golden") / case.problem_name / f"{_input_token(case.input)}.jsonl"
-
-
-def case_to_json_line(case: GoldenCase) -> str:
-    """Canonical one-line encoding: fixed key order, no extra whitespace."""
-    doc = {
-        "problem": case.problem_name,
-        "input": case.input,
-        "algorithm": case.algorithm,
-        "expected": case.expected,
-        "provenance": case.provenance,
-    }
-    return json.dumps(doc, separators=(",", ":"))
-
-
-def case_from_json_line(line: str) -> GoldenCase:
-    doc = json.loads(line)
-    return GoldenCase(
-        problem_name=doc["problem"],
-        input=doc["input"],
-        algorithm=doc["algorithm"],
-        expected=doc["expected"],
-        provenance=doc["provenance"],
-    )

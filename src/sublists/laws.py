@@ -1,0 +1,135 @@
+"""The library's laws, as one replayable registry.
+
+Each law takes a maximum input length and yields ``(info, lhs, rhs)``
+cases: ``info`` names the input (and the level ``k``) a case was built
+from, and the law holds on that case when ``lhs == rhs``. ``replay`` runs
+one law, counts its cases and raises ``Counterexample`` at the first case
+whose sides differ. ``sublists verify`` prints what ``replay_all`` returns,
+and the acceptance tests replay the same registry.
+
+Laws reach ``level_engine.up``, ``solver.td`` and ``solver.bu`` through
+their modules rather than binding them at import time, so a replacement
+patched into one of those modules is exactly what gets checked.
+"""
+
+from __future__ import annotations
+
+import functools
+import json
+import math
+from string import ascii_lowercase
+from typing import Any, Callable, Iterator
+
+from . import combinatorics as comb
+from . import core_tree as tree
+from . import instances, level_engine, solver
+
+Case = tuple[dict[str, Any], Any, Any]
+Law = Callable[[int], Iterator[Case]]
+
+
+class Counterexample(Exception):
+    """A case on which a law fails; ``info`` holds its input and both sides."""
+
+    def __init__(self, law: str, info: dict[str, Any]):
+        super().__init__(law)
+        self.law = law
+        self.info = info
+
+
+def _prefixes(max_len: int) -> Iterator[tuple[int, str]]:
+    for n in range(2, max_len + 1):
+        yield n, ascii_lowercase[:n]
+
+
+def upgrade_level(max_len: int) -> Iterator[Case]:
+    """Raising the level-k tree equals mapping subs over the level-k+1 tree."""
+    for n, xs in _prefixes(max_len):
+        for k in range(1, n):
+            lhs = level_engine.up(comb.ch(k, xs))
+            rhs = tree.map_tree(comb.subs, comb.ch(k + 1, xs))
+            yield {"input": xs, "k": k}, lhs, rhs
+
+
+def upgrade_tips(max_len: int) -> Iterator[Case]:
+    """Tips of the raised tree equal the list-level oracle, in order."""
+    for n, xs in _prefixes(max_len):
+        for k in range(1, n):
+            lhs = tree.tips(level_engine.up(comb.ch(k, xs)))
+            yield {"input": xs, "k": k}, lhs, level_engine.upgrade_oracle(k, xs)
+
+
+def singleton_collapse(max_len: int) -> Iterator[Case]:
+    """One final raise of the level-(n-1) tree collapses to subs itself."""
+    for n, xs in _prefixes(max_len):
+        lhs = tree.un_tip(level_engine.up(comb.ch(n - 1, xs)))
+        yield {"input": xs}, lhs, comb.subs(xs)
+
+
+def pascal_spine(max_len: int) -> Iterator[Case]:
+    """Right-spine tip counts walk a diagonal of Pascal's triangle."""
+    for n, xs in _prefixes(max_len):
+        for k in range(1, n + 1):
+            rhs = [math.comb(m, k) for m in range(n, k - 1, -1)]
+            yield {"input": xs, "k": k}, comb.spine_sizes(comb.ch(k, xs)), rhs
+
+
+def shape_advance(max_len: int) -> Iterator[Case]:
+    """Raising a (k, n) tree yields a (k+1, n) tree of (k+1)-long tips."""
+    for n, xs in _prefixes(max_len):
+        for k in range(1, n):
+            t = comb.ch(k, xs)
+            u = level_engine.up(t)
+            lhs = {
+                "before": comb.check_shape(t, (k, n)),
+                "after": comb.check_shape(u, (k + 1, n)),
+                "tip-length": all(len(v) == k + 1 for v in tree.tips(u)),
+            }
+            yield {"input": xs, "k": k}, lhs, dict.fromkeys(lhs, True)
+
+
+def td_bu(problem: solver.SublistProblem, max_len: int) -> Iterator[Case]:
+    """The two evaluators agree on every distinct-symbol input."""
+    for length in range(1, max_len + 1):
+        xs = instances.example_input(problem, length)
+        lhs = solver.td(length - 1, problem, xs)
+        yield {"input": xs}, lhs, solver.bu(length - 1, problem, xs)
+
+
+def registry() -> dict[str, Law]:
+    """Every law by name, in the sorted order ``verify`` reports them."""
+    laws: dict[str, Law] = {
+        "pascal-spine": pascal_spine,
+        "shape-advance": shape_advance,
+        "singleton-collapse": singleton_collapse,
+        "upgrade-level": upgrade_level,
+        "upgrade-tips": upgrade_tips,
+    }
+    for problem in instances.builtin_problems():
+        laws[f"td-bu[{problem.name}]"] = functools.partial(td_bu, problem)
+    return dict(sorted(laws.items()))
+
+
+def _render(value: Any) -> str:
+    if isinstance(value, (tree.Tip, tree.Node)):
+        return tree.encode_tree(value)
+    return json.dumps(value, separators=(",", ":"))
+
+
+def replay(name: str, max_len: int) -> int:
+    """Run the law ``name`` up to ``max_len``; return its case count.
+
+    Raises Counterexample naming the law, the case's input and both
+    sides (trees in canonical JSON, other values as compact JSON).
+    """
+    cases = 0
+    for info, lhs, rhs in registry()[name](max_len):
+        if lhs != rhs:
+            raise Counterexample(name, {**info, "lhs": _render(lhs), "rhs": _render(rhs)})
+        cases += 1
+    return cases
+
+
+def replay_all(max_len: int) -> list[tuple[str, int]]:
+    """Replay every law in registry order; the first failure stops the sweep."""
+    return [(name, replay(name, max_len)) for name in registry()]

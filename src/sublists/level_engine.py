@@ -17,10 +17,9 @@ MalformedLevel naming the clause that failed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
-from .combinatorics import ShapeIndex, bounded_holds, check_shape, choose, subs
+from .combinatorics import choose, subs
 from .core_tree import (
     BinomialTree,
     Node,
@@ -96,19 +95,3 @@ def upgrade_oracle(k: int, xs: S) -> list[list[S]]:
 def step(g: Callable[[list[A]], A], t: BinomialTree[A]) -> BinomialTree[A]:
     """One bottom-up move: raise the level, then combine every tip."""
     return map_tree(g, up(t))
-
-
-@dataclass(frozen=True)
-class Level:
-    """A tree paired with the shape index it claims; checked on creation."""
-
-    tree: BinomialTree[Any]
-    claimed_index: ShapeIndex
-
-    def __post_init__(self):
-        idx = ShapeIndex(*self.claimed_index)
-        object.__setattr__(self, "claimed_index", idx)
-        if not bounded_holds(idx):
-            raise MalformedLevel(f"index {idx} violates k <= n")
-        if not check_shape(self.tree, idx):
-            raise MalformedLevel(f"tree does not have shape {tuple(idx)}")

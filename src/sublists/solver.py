@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Generic, Sequence, TypeVar
 
 from .combinatorics import ch, subs
-from .core_tree import count_tips, extract_singleton, iter_compose, map_tree, un_tip
+from .core_tree import count_tips, extract_singleton, map_tree, un_tip
 from .errors import EmptyInput, LengthMismatch
 from .level_engine import step
 
@@ -74,8 +74,9 @@ def td(n: int, problem: SublistProblem[X, Y], xs: Sequence[X]) -> Y:
 def td_prime(n: int, combine: Callable[[list[Y]], Y], ys: Sequence[Y]) -> Y:
     """td with the base map stripped off: works on already-seeded values.
 
-    td(n, p, xs) == td_prime(n, p.combine, [p.base(x) for x in xs]);
-    the equality is one of the replayed laws.
+    td(n, p, xs) == td_prime(n, p.combine, [p.base(x) for x in xs]) is
+    the paper's law td = td' . map base; td_prime exists to state that
+    law in the test suite and is not exported from the package.
     """
     if len(ys) != 1 + n:
         raise LengthMismatch(f"index {n} expects length {1 + n}, got {len(ys)}")
@@ -108,14 +109,11 @@ def bu(
     level = map_tree(extract_singleton, ch(1, seeds))
     if on_level is not None:
         on_level(level)
-
-    def advance(t):
-        t = step(problem.combine, t)
+    for _ in range(n):
+        level = step(problem.combine, level)
         if on_level is not None:
-            on_level(t)
-        return t
-
-    return un_tip(iter_compose(n, advance, level))
+            on_level(level)
+    return un_tip(level)
 
 
 def run_with_stats(

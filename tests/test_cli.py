@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from helpers import bu_g_calls, td_g_calls
 from sublists import Node, ch, map_tree, subs
-from sublists import encode_tree, level_engine, solver
+from sublists import combinatorics, encode_tree, level_engine, solver
 from sublists.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +65,19 @@ def test_run_usage_errors(capsys):
         assert err.startswith("error:")
 
 
+def test_run_negative_integers_need_the_equals_form(capsys):
+    # argparse takes a separate "-1,2" for an option; "--input=-1,2" binds it
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--problem", "modsum", "--input", "-1,2"])
+    assert err.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "run", "--problem", "modsum", "--input=-1,2", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["results"]["td"]["value"] == doc["results"]["bu"]["value"] == 4
+    assert doc["verdict"] == "EQUAL"
+
+
 def test_run_reports_differ_when_an_evaluator_is_broken(capsys, monkeypatch):
     real_bu = solver.bu
 
@@ -86,7 +103,7 @@ def test_dump_after_up_matches_the_library(capsys):
     assert out.strip() == encode_tree(map_tree(subs, ch(3, "abcde")))
 
 
-def test_dump_usage_errors(capsys):
+def test_dump_usage_errors(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "dump", "--k", "3", "--input", "ab")
     assert code == 2 and "between 0 and" in err
     code, _, err = run_cli(capsys, "dump", "--k", "-1", "--input", "ab")
@@ -95,6 +112,15 @@ def test_dump_usage_errors(capsys):
     assert code == 2 and "after-up" in err
     code, _, err = run_cli(capsys, "dump", "--k", "2", "--input", "ab", "--stage", "after-up")
     assert code == 2
+
+    # over-long inputs are refused before any tree is built
+    def no_tree(k, xs):
+        raise AssertionError("a tree was built")
+
+    monkeypatch.setattr(combinatorics, "ch", no_tree)
+    for length in (21, 900, 1500):
+        code, _, err = run_cli(capsys, "dump", "--k", "1", "--input", "a" * length)
+        assert code == 2 and "exceeds the limit of 20" in err, length
 
 
 def test_verify_passes_and_reports_sorted_law_counts(capsys):
@@ -196,3 +222,16 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+def test_readme_transcripts_are_byte_exact(capsys):
+    # each README text block that starts with "$ sublists" shows a command and its full output
+    blocks = dict(re.findall(r"```text\n\$ sublists ([^\n]*)\n(.*?)```", README.read_text(), re.S))
+    for command in [
+        "run --problem trace --input abc --algo both",
+        "verify --max-len 8",
+        "dump --k 1 --input yz",
+    ]:
+        code, out, _ = run_cli(capsys, *command.split())
+        assert code == 0, command
+        assert out == blocks[command], command

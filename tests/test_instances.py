@@ -1,12 +1,12 @@
-"""Problem registry, golden suite, and the JSONL files on disk."""
+"""Problem registry, input parsing, and the golden JSONL files."""
 
 from __future__ import annotations
 
-from pathlib import Path
+import json
 
 import pytest
 
-from helpers import memo_solve
+from helpers import GOLDEN_DIR, evaluate_golden, golden_cases, memo_solve
 from sublists import (
     MAXMIN,
     MODSUM,
@@ -14,18 +14,11 @@ from sublists import (
     TRACE,
     Algorithm,
     builtin_problems,
-    case_from_json_line,
-    case_to_json_line,
-    evaluate_golden_case,
     example_input,
     get_problem,
-    golden_relpath,
-    golden_suite,
     parse_input,
     solve,
 )
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_registry():
@@ -64,47 +57,43 @@ def test_example_input():
 
 
 def test_golden_suite_cases_evaluate_to_their_expected_values():
-    suite = golden_suite()
+    suite = golden_cases()
     assert len(suite) == 7
-    for case in suite:
-        assert evaluate_golden_case(case) == case.expected, case
+    for path, case in suite:
+        assert evaluate_golden(case) == case["expected"], path
 
 
 def test_golden_solver_cases_pass_under_both_algorithms():
-    for case in golden_suite():
-        problem = get_problem(case.problem_name)
+    for _, case in golden_cases():
+        problem = get_problem(case["problem"])
         if problem is None:
             continue
-        assert solve(problem, case.input, Algorithm.TOP_DOWN) == case.expected
-        assert solve(problem, case.input, Algorithm.BOTTOM_UP) == case.expected
+        assert solve(problem, case["input"], Algorithm.TOP_DOWN) == case["expected"]
+        assert solve(problem, case["input"], Algorithm.BOTTOM_UP) == case["expected"]
 
 
 def test_golden_numeric_cases_agree_with_independent_memoization():
-    for case in golden_suite():
-        problem = get_problem(case.problem_name)
+    for _, case in golden_cases():
+        problem = get_problem(case["problem"])
         if problem is None:
             continue
-        assert memo_solve(problem, case.input) == case.expected
-
-
-def test_golden_files_match_the_suite():
-    for case in golden_suite():
-        path = REPO_ROOT / golden_relpath(case)
-        assert path.is_file(), path
-        text = path.read_text()
-        assert text == case_to_json_line(case) + "\n"
-        assert case_from_json_line(text) == case
+        assert memo_solve(problem, case["input"]) == case["expected"]
 
 
 def test_golden_encoding_is_canonical():
-    for case in golden_suite():
-        line = case_to_json_line(case)
-        assert ": " not in line and ", " not in line
-        assert case_from_json_line(line) == case
+    # one line per file: fixed key order, no extra whitespace
+    keys = ["problem", "input", "algorithm", "expected", "provenance"]
+    for path, case in golden_cases():
+        assert list(case) == keys, path
+        assert path.read_text() == json.dumps(case, separators=(",", ":")) + "\n", path
 
 
 def test_golden_paths_follow_the_convention():
-    paths = {str(golden_relpath(case)) for case in golden_suite()}
+    for path, case in golden_cases():
+        xs = case["input"]
+        token = xs if isinstance(xs, str) else "-".join(str(v) for v in xs)
+        assert path == GOLDEN_DIR / case["problem"] / f"{token}.jsonl"
+    paths = {path.relative_to(GOLDEN_DIR.parent).as_posix() for path, _ in golden_cases()}
     assert "golden/trace/abc.jsonl" in paths
     assert "golden/modsum/1-2-3.jsonl" in paths
     assert "golden/choose-3/abcde.jsonl" in paths
@@ -112,4 +101,4 @@ def test_golden_paths_follow_the_convention():
 
 def test_provenance_vocabulary():
     allowed = {"worked-example", "reference-run", "definitional"}
-    assert {case.provenance for case in golden_suite()} <= allowed
+    assert {case["provenance"] for _, case in golden_cases()} <= allowed

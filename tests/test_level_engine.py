@@ -8,17 +8,14 @@ from hypothesis import given, settings, strategies as st
 from helpers import prefix, tree_of_shape
 from sublists import (
     TRACE,
-    Level,
     MalformedLevel,
     Node,
     OutOfRange,
-    ShapeIndex,
     Tip,
     ch,
     check_shape,
     choose,
     map_tree,
-    snoc,
     step,
     subs,
     td,
@@ -28,6 +25,7 @@ from sublists import (
     upgrade_oracle,
     zip_tree_with,
 )
+from sublists.core_tree import snoc
 
 
 def test_up_pair_of_tips():
@@ -164,12 +162,3 @@ def test_prepending_then_listing_sublists_splits_into_zip(u, x):
     lhs = map_tree(lambda ys: subs(x + ys), u)
     rhs = zip_tree_with(snoc, map_tree(lambda ys: [x + zs for zs in subs(ys)], u), u)
     assert lhs == rhs
-
-
-def test_level_validates_on_construction():
-    level = Level(ch(2, "abcde"), (2, 5))
-    assert level.claimed_index == ShapeIndex(2, 5)
-    with pytest.raises(MalformedLevel):
-        Level(ch(2, "abcde"), (3, 5))
-    with pytest.raises(MalformedLevel):
-        Level(Tip("x"), (2, 1))

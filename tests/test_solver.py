@@ -16,16 +16,16 @@ from sublists import (
     Algorithm,
     EmptyInput,
     LengthMismatch,
-    Level,
     Tip,
     bu,
     builtin_problems,
+    check_shape,
     example_input,
     run_with_stats,
     solve,
     td,
-    td_prime,
 )
+from sublists.solver import td_prime
 
 
 def test_td_trace_examples():
@@ -124,7 +124,7 @@ def test_bu_levels_have_the_right_shapes():
         bu(n, TRACE, xs, on_level=levels.append)
         assert len(levels) == n + 1
         for i, tree in enumerate(levels):
-            Level(tree, (1 + i, n + 1))  # raises MalformedLevel if wrong
+            assert check_shape(tree, (1 + i, n + 1)), (n, i)
         assert isinstance(levels[-1], Tip)
 
 
