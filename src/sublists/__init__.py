@@ -42,7 +42,7 @@ from .instances import (
     get_problem,
     parse_input,
 )
-from .level_engine import step, up, upgrade_oracle
+from .level_engine import up, upgrade_oracle
 from .solver import (
     Algorithm,
     RunStats,
@@ -87,7 +87,6 @@ __all__ = [
     "run_with_stats",
     "solve",
     "spine_sizes",
-    "step",
     "subs",
     "td",
     "tips",

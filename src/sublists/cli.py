@@ -3,7 +3,9 @@
 Subcommands:
 
 * ``run``: evaluate one problem on one input, top-down, bottom-up, or
-  both with an EQUAL/DIFFER verdict.
+  both with an EQUAL/DIFFER verdict. Inputs are capped at ``RUN_MAX_INPUT``
+  elements, and at ``TD_MAX_INPUT`` wherever ``td`` runs; ``verify`` and
+  ``bench`` keep ``td`` within the same cap.
 * ``verify``: replay the law registry (``sublists.laws``) over alphabet
   prefixes and print per-law pass counts; the first counterexample stops
   the sweep.
@@ -30,7 +32,9 @@ from . import solver
 from .errors import SublistsError
 
 RUN_MAX_INPUT = 20
-SWEEP_MAX_LEN = 12  # td cost grows factorially; verify and bench share the guard
+# td makes 1 + m * (its calls on m - 1 elements) combine calls on m elements:
+# 2,606,501 at 10 elements, 28,671,512 at 11
+TD_MAX_INPUT = 10
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,13 +82,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         return _usage("input is empty")
     if len(xs) > RUN_MAX_INPUT:
         return _usage(f"input length {len(xs)} exceeds the limit of {RUN_MAX_INPUT}")
+    if args.algo != "bu" and len(xs) > TD_MAX_INPUT:
+        return _usage(f"input length {len(xs)} exceeds the td limit of {TD_MAX_INPUT}")
 
     n = len(xs) - 1
-    algos = {
-        "td": [solver.Algorithm.TOP_DOWN],
-        "bu": [solver.Algorithm.BOTTOM_UP],
-        "both": [solver.Algorithm.TOP_DOWN, solver.Algorithm.BOTTOM_UP],
-    }[args.algo]
+    algos = list(solver.Algorithm) if args.algo == "both" else [solver.Algorithm(args.algo)]
     outcomes = [(algo, *solver.run_with_stats(algo, n, problem, xs)) for algo in algos]
 
     verdict = None
@@ -124,8 +126,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if not 1 <= args.max_len <= SWEEP_MAX_LEN:
-        return _usage(f"--max-len must be between 1 and {SWEEP_MAX_LEN}")
+    if not 1 <= args.max_len <= TD_MAX_INPUT:
+        return _usage(f"--max-len must be between 1 and {TD_MAX_INPUT}")
     try:
         results = laws.replay_all(args.max_len)
     except laws.Counterexample as cx:
@@ -170,8 +172,9 @@ def cmd_dump(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if not 0 <= args.max_len <= SWEEP_MAX_LEN:
-        return _usage(f"--max-len must be between 0 and {SWEEP_MAX_LEN}")
+    # row n runs td on n + 1 elements
+    if not 0 <= args.max_len <= TD_MAX_INPUT - 1:
+        return _usage(f"--max-len must be between 0 and {TD_MAX_INPUT - 1}")
     problem = instances.get_problem(args.problem)
     if problem is None:
         return _usage(f"unknown problem {args.problem!r}")

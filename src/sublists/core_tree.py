@@ -87,12 +87,8 @@ def extract_singleton(xs: Sequence[A]) -> A:
     return xs[0]
 
 
-def snoc(ys, z):
-    """Append ``z`` at the end of ``ys``, preserving the sequence kind."""
-    if isinstance(ys, str):
-        return ys + z
-    if isinstance(ys, tuple):
-        return ys + (z,)
+def snoc(ys: list[A], z: A) -> list[A]:
+    """A new list: ``ys`` with ``z`` appended."""
     return [*ys, z]
 
 

@@ -17,7 +17,7 @@ MalformedLevel naming the clause that failed.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 from .combinatorics import choose, subs
 from .core_tree import (
@@ -32,7 +32,6 @@ from .core_tree import (
 from .errors import MalformedLevel, NotATip, OutOfRange, ShapeMismatch
 
 A = TypeVar("A")
-B = TypeVar("B")
 S = TypeVar("S", bound=Sequence)
 
 
@@ -91,7 +90,3 @@ def upgrade_oracle(k: int, xs: S) -> list[list[S]]:
         raise OutOfRange(f"cannot upgrade level {k} of a {len(xs)}-element input")
     return [subs(ys) for ys in choose(k + 1, xs)]
 
-
-def step(g: Callable[[list[A]], A], t: BinomialTree[A]) -> BinomialTree[A]:
-    """One bottom-up move: raise the level, then combine every tip."""
-    return map_tree(g, up(t))

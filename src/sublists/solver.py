@@ -14,13 +14,14 @@ suite and by ``sublists verify``).
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Generic, Sequence, TypeVar
 
+from . import level_engine
 from .combinatorics import ch, subs
-from .core_tree import count_tips, extract_singleton, map_tree, un_tip
+from .core_tree import extract_singleton, map_tree, un_tip
 from .errors import EmptyInput, LengthMismatch
-from .level_engine import step
 
 X = TypeVar("X")
 Y = TypeVar("Y")
@@ -56,7 +57,6 @@ class RunStats:
     the bottom-up run built; top-down runs build no trees, so it stays 0.
     """
 
-    algorithm: Algorithm
     f_calls: int = 0
     g_calls: int = 0
     peak_level_tips: int = 0
@@ -85,34 +85,22 @@ def td_prime(n: int, combine: Callable[[list[Y]], Y], ys: Sequence[Y]) -> Y:
     return combine([td_prime(n - 1, combine, zs) for zs in subs(ys)])
 
 
-def bu(
-    n: int,
-    problem: SublistProblem[X, Y],
-    xs: Sequence[X],
-    *,
-    on_level: Callable[..., None] | None = None,
-) -> Y:
+def bu(n: int, problem: SublistProblem[X, Y], xs: Sequence[X]) -> Y:
     """Bottom-up evaluator: each distinct subsequence is solved once.
 
     Seed: apply ``base`` to every element and build the level-1 choice
     tree over the seeded values, so each tip holds one singleton answer.
-    Then raise-and-combine n times; the final tree is a single tip whose
-    value is the answer for ``xs`` itself.
-
-    ``on_level`` (if given) observes every level tree as it is produced,
-    the seed level included; it is for instrumentation only and must not
-    mutate what it sees.
+    Then n times raise the level with ``up`` and combine every tip; the
+    final tree is a single tip whose value is the answer for ``xs``
+    itself. Every tip of level j gets exactly one ``combine`` call, with
+    j answers.
     """
     if len(xs) != 1 + n:
         raise LengthMismatch(f"index {n} expects length {1 + n}, got {len(xs)}")
     seeds = [problem.base(x) for x in xs]
     level = map_tree(extract_singleton, ch(1, seeds))
-    if on_level is not None:
-        on_level(level)
     for _ in range(n):
-        level = step(problem.combine, level)
-        if on_level is not None:
-            on_level(level)
+        level = map_tree(problem.combine, level_engine.up(level))
     return un_tip(level)
 
 
@@ -122,27 +110,35 @@ def run_with_stats(
     """Evaluate like td/bu and report call counts alongside the value.
 
     Counting wraps ``base`` and ``combine`` only; the algorithms run
-    unchanged, so the value is identical to the bare evaluators'.
+    unchanged, so the value is identical to the bare evaluators'. The
+    bottom-up level sizes are read from the calls: the seed level has
+    one tip per ``base`` call, and level j one tip per ``combine`` call
+    on j answers.
     """
-    stats = RunStats(algorithm=algo)
+    stats = RunStats()
 
     def counted_base(x):
         stats.f_calls += 1
         return problem.base(x)
 
-    def counted_combine(ys):
-        stats.g_calls += 1
+    if algo is Algorithm.TOP_DOWN:
+
+        def counted_combine(ys):
+            stats.g_calls += 1
+            return problem.combine(ys)
+
+        value = td(n, replace(problem, base=counted_base, combine=counted_combine), xs)
+        return value, stats
+
+    calls_by_length: Counter[int] = Counter()
+
+    def counted_level_combine(ys):
+        calls_by_length[len(ys)] += 1
         return problem.combine(ys)
 
-    counted = replace(problem, base=counted_base, combine=counted_combine)
-    if algo is Algorithm.TOP_DOWN:
-        value = td(n, counted, xs)
-    else:
-
-        def observe(t):
-            stats.peak_level_tips = max(stats.peak_level_tips, count_tips(t))
-
-        value = bu(n, counted, xs, on_level=observe)
+    value = bu(n, replace(problem, base=counted_base, combine=counted_level_combine), xs)
+    stats.g_calls = calls_by_length.total()
+    stats.peak_level_tips = max([stats.f_calls, *calls_by_length.values()])
     return value, stats
 
 

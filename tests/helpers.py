@@ -24,6 +24,7 @@ from sublists import (
     Algorithm,
     Node,
     Tip,
+    bu,
     ch,
     choose,
     get_problem,
@@ -31,6 +32,7 @@ from sublists import (
     spine_sizes,
     subs,
 )
+from sublists import level_engine
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
@@ -66,6 +68,33 @@ def tree_of_shape(k: int, n: int, make_value):
     if k == 0 or k == n:
         return Tip(make_value())
     return Node(tree_of_shape(k - 1, n - 1, make_value), tree_of_shape(k, n - 1, make_value))
+
+
+def bu_levels(monkeypatch, n: int, problem, xs) -> tuple[list, object]:
+    """Run ``bu`` and return the level trees it raised, in order, and its value.
+
+    The levels are the trees handed to ``level_engine.up``, recorded by a
+    patch that is undone before returning: levels 1 to n, one per raise.
+    ``up`` recurses through the patched name, so only outermost calls count.
+    """
+    levels = []
+    real_up = level_engine.up
+    depth = 0
+
+    def recording_up(t):
+        nonlocal depth
+        if depth == 0:
+            levels.append(t)
+        depth += 1
+        try:
+            return real_up(t)
+        finally:
+            depth -= 1
+
+    with monkeypatch.context() as patch:
+        patch.setattr(level_engine, "up", recording_up)
+        value = bu(n, problem, xs)
+    return levels, value
 
 
 def td_g_calls(n: int) -> int:
@@ -109,11 +138,8 @@ def evaluate_golden(case: dict):
         return choose(int(name.split("-", 1)[1]), xs)
     if name.startswith("spine-"):
         return spine_sizes(ch(int(name.split("-", 1)[1]), xs))
-    algos = {
-        "td": [Algorithm.TOP_DOWN],
-        "bu": [Algorithm.BOTTOM_UP],
-        "both": [Algorithm.TOP_DOWN, Algorithm.BOTTOM_UP],
-    }[case["algorithm"]]
+    algo = case["algorithm"]
+    algos = list(Algorithm) if algo == "both" else [Algorithm(algo)]
     values = [solve(get_problem(name), xs, algo) for algo in algos]
     assert all(v == values[0] for v in values), (name, values)
     return values[0]

@@ -6,13 +6,14 @@ wall-clock budget that is asserted, not just reported.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from contextlib import contextmanager
 
 import pytest
 
-from helpers import bu_g_calls, prefix, td_g_calls, tree_of_shape
+from helpers import bu_g_calls, bu_levels, prefix, td_g_calls, tree_of_shape
 import sublists
 from sublists import (
     MODSUM,
@@ -105,7 +106,7 @@ def test_single_raise_collapses_to_sublists():
         assert box["cases"] == 7
 
 
-def test_shape_index_suite():
+def test_shape_index_suite(monkeypatch):
     with criterion("shape-indices", budget_s=10.0) as box:
         for n in range(0, 11):
             xs = prefix(n)
@@ -117,12 +118,12 @@ def test_shape_index_suite():
         for problem in (TRACE, MODSUM):
             for length in range(1, 9):
                 xs = example_input(problem, length)
-                levels = []
-                bu(length - 1, problem, xs, on_level=levels.append)
-                assert len(levels) == length
+                levels, _ = bu_levels(monkeypatch, length - 1, problem, xs)
+                assert len(levels) == length - 1
                 for i, tree in enumerate(levels):
                     assert check_shape(tree, (1 + i, length)), (problem.name, length, i)
-                assert isinstance(levels[-1], Tip)
+                if levels:
+                    assert isinstance(up(levels[-1]), Tip)
                 box["cases"] += 1
 
 
@@ -134,6 +135,9 @@ def test_cost_split_matches_the_closed_forms():
             _, bu_stats = run_with_stats(Algorithm.BOTTOM_UP, n, TRACE, xs)
             assert td_stats.g_calls == td_g_calls(n), n
             assert bu_stats.g_calls == bu_g_calls(n), n
+            # the widest level holds the middle binomial coefficient; td builds none
+            assert bu_stats.peak_level_tips == math.comb(n + 1, (n + 1) // 2), n
+            assert td_stats.peak_level_tips == 0, n
             if n == 4:
                 assert td_stats.g_calls == 86
                 assert bu_stats.g_calls == 26
@@ -214,6 +218,9 @@ def test_error_paths_and_exit_codes(capsys, monkeypatch):
             ["dump", "--k", "0", "--input", "ab", "--stage", "after-up"],
             ["verify", "--max-len", "13"],
             ["bench", "--max-len", "13"],
+            ["run", "--problem", "maxmin", "--input", ",".join("1" * 11), "--algo", "td"],
+            ["verify", "--max-len", "11"],
+            ["bench", "--max-len", "10"],
         ]
         for argv in usage_cases:
             assert cli_main(argv) == 2, argv
@@ -223,8 +230,8 @@ def test_error_paths_and_exit_codes(capsys, monkeypatch):
         # exit 1 must fire when an evaluator or a law actually breaks
         real_bu = solver.bu
 
-        def broken_bu(n, problem, xs, *, on_level=None):
-            value = real_bu(n, problem, xs, on_level=on_level)
+        def broken_bu(n, problem, xs):
+            value = real_bu(n, problem, xs)
             return value + "!" if isinstance(value, str) else value + 1
 
         monkeypatch.setattr(solver, "bu", broken_bu)

@@ -81,8 +81,8 @@ def test_run_negative_integers_need_the_equals_form(capsys):
 def test_run_reports_differ_when_an_evaluator_is_broken(capsys, monkeypatch):
     real_bu = solver.bu
 
-    def broken_bu(n, problem, xs, *, on_level=None):
-        value = real_bu(n, problem, xs, on_level=on_level)
+    def broken_bu(n, problem, xs):
+        value = real_bu(n, problem, xs)
         return value + "!" if isinstance(value, str) else value + 1
 
     monkeypatch.setattr(solver, "bu", broken_bu)

@@ -16,7 +16,6 @@ from sublists import (
     check_shape,
     choose,
     map_tree,
-    step,
     subs,
     td,
     tips,
@@ -107,13 +106,15 @@ def test_upgrade_oracle_rejects_impossible_levels():
 
 
 def test_step_examples():
-    assert step(sum, Node(Tip(1), Tip(2))) == Tip(3)
-    assert step("".join, Node(Tip("a"), Tip("b"))) == Tip("ab")
+    # one bottom-up step: raise the level, then combine every tip
+    assert map_tree(sum, up(Node(Tip(1), Tip(2)))) == Tip(3)
+    assert map_tree("".join, up(Node(Tip("a"), Tip("b")))) == Tip("ab")
 
 
 def test_step_advances_a_level_of_solved_values():
-    # tips hold answers for level k; one step yields the answers for
-    # level k+1, because each new tip combines exactly the right list
+    # tips hold answers for level k; one raise-and-combine yields the
+    # answers for level k+1, because each new tip combines exactly the
+    # right list
     def solved(s):
         return td(len(s) - 1, TRACE, s)
 
@@ -121,7 +122,7 @@ def test_step_advances_a_level_of_solved_values():
     for k in range(1, 4):
         before = map_tree(solved, ch(k, xs))
         after = map_tree(solved, ch(k + 1, xs))
-        assert step(TRACE.combine, before) == after
+        assert map_tree(TRACE.combine, up(before)) == after
 
 
 shape_indices = st.sampled_from([(k, n) for n in range(2, 7) for k in range(1, n)])

@@ -7,7 +7,7 @@ from math import comb, factorial
 
 import pytest
 
-from helpers import bu_g_calls, memo_solve, prefix, td_g_calls
+from helpers import bu_g_calls, bu_levels, memo_solve, prefix, td_g_calls
 from sublists import (
     MAXMIN,
     MODSUM,
@@ -16,7 +16,6 @@ from sublists import (
     Algorithm,
     EmptyInput,
     LengthMismatch,
-    Tip,
     bu,
     builtin_problems,
     check_shape,
@@ -24,6 +23,8 @@ from sublists import (
     run_with_stats,
     solve,
     td,
+    un_tip,
+    up,
 )
 from sublists.solver import td_prime
 
@@ -117,15 +118,15 @@ def test_peak_level_tips():
     assert td_stats.peak_level_tips == 0
 
 
-def test_bu_levels_have_the_right_shapes():
+def test_bu_levels_have_the_right_shapes(monkeypatch):
     for n in range(1, 8):
         xs = prefix(n + 1)
-        levels = []
-        bu(n, TRACE, xs, on_level=levels.append)
-        assert len(levels) == n + 1
+        levels, value = bu_levels(monkeypatch, n, TRACE, xs)
+        assert len(levels) == n
         for i, tree in enumerate(levels):
             assert check_shape(tree, (1 + i, n + 1)), (n, i)
-        assert isinstance(levels[-1], Tip)
+        # the last raise collapses to one tip, and bu returns its combined value
+        assert value == TRACE.combine(un_tip(up(levels[-1])))
 
 
 def test_solve_dispatches_and_validates():
