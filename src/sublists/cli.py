@@ -4,8 +4,8 @@ Subcommands:
 
 * ``run``: evaluate one problem on one input, top-down, bottom-up, or
   both with an EQUAL/DIFFER verdict. Inputs are capped at ``RUN_MAX_INPUT``
-  elements, and at ``TD_MAX_INPUT`` wherever ``td`` runs; ``verify`` and
-  ``bench`` keep ``td`` within the same cap.
+  elements, at ``TD_MAX_INPUT`` wherever ``td`` runs (``verify`` and
+  ``bench`` keep ``td`` within it too) and at ``TRACE_MAX_INPUT`` for ``trace``.
 * ``verify``: replay the law registry (``sublists.laws``) over alphabet
   prefixes and print per-law pass counts; the first counterexample stops
   the sweep.
@@ -35,6 +35,8 @@ RUN_MAX_INPUT = 20
 # td makes 1 + m * (its calls on m - 1 elements) combine calls on m elements:
 # 2,606,501 at 10 elements, 28,671,512 at 11
 TD_MAX_INPUT = 10
+# trace answers hold 97,259,824 characters at 11 elements, 1,167,117,890 at 12
+TRACE_MAX_INPUT = 11
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,6 +67,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def trace_answer_length(m: int) -> int:
+    """Characters in the ``trace`` answer on m elements: L(1) = 1, L(m) = m * L(m - 1) + 2."""
+    return 1 if m <= 1 else m * trace_answer_length(m - 1) + 2
+
+
 def _usage(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -84,6 +91,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         return _usage(f"input length {len(xs)} exceeds the limit of {RUN_MAX_INPUT}")
     if args.algo != "bu" and len(xs) > TD_MAX_INPUT:
         return _usage(f"input length {len(xs)} exceeds the td limit of {TD_MAX_INPUT}")
+    if problem is instances.TRACE and len(xs) > TRACE_MAX_INPUT:
+        size = trace_answer_length(len(xs))
+        return _usage(f"input length {len(xs)} exceeds the trace limit of {TRACE_MAX_INPUT}: "
+                      f"its answer would hold {size:,} characters")
 
     n = len(xs) - 1
     algos = list(solver.Algorithm) if args.algo == "both" else [solver.Algorithm(args.algo)]
@@ -181,11 +192,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print("n,td_g_calls,bu_g_calls,td_wall_ns,bu_wall_ns")
     for n in range(0, args.max_len + 1):
         xs = instances.example_input(problem, n + 1)
-        t0 = time.perf_counter_ns()
         _, td_stats = solver.run_with_stats(solver.Algorithm.TOP_DOWN, n, problem, xs)
+        _, bu_stats = solver.run_with_stats(solver.Algorithm.BOTTOM_UP, n, problem, xs)
+        t0 = time.perf_counter_ns()
+        solver.td(n, problem, xs)
         td_ns = time.perf_counter_ns() - t0
         t0 = time.perf_counter_ns()
-        _, bu_stats = solver.run_with_stats(solver.Algorithm.BOTTOM_UP, n, problem, xs)
+        solver.bu(n, problem, xs)
         bu_ns = time.perf_counter_ns() - t0
         print(f"{n},{td_stats.g_calls},{bu_stats.g_calls},{td_ns},{bu_ns}")
     return 0

@@ -7,9 +7,9 @@ one law, counts its cases and raises ``Counterexample`` at the first case
 whose sides differ. ``sublists verify`` prints what ``replay_all`` returns,
 and the acceptance tests replay the same registry.
 
-Laws reach ``level_engine.up``, ``solver.td`` and ``solver.bu`` through
-their modules rather than binding them at import time, so a replacement
-patched into one of those modules is exactly what gets checked.
+Laws reach ``level_engine.up``, ``level_engine.up_flat``, ``solver.td`` and
+``solver.bu`` through their modules rather than binding them at import
+time, so a replacement patched into one of them is exactly what gets checked.
 """
 
 from __future__ import annotations
@@ -59,6 +59,15 @@ def upgrade_tips(max_len: int) -> Iterator[Case]:
             yield {"input": xs, "k": k}, lhs, level_engine.upgrade_oracle(k, xs)
 
 
+def up_flat(max_len: int) -> Iterator[Case]:
+    """Raising the level's tips as a flat list gives the raised tree's tips."""
+    for n, xs in _prefixes(max_len):
+        for k in range(1, n):
+            t = comb.ch(k, xs)
+            lhs = [list(row) for row in zip(*level_engine.up_flat(k, n, tree.tips(t)))]
+            yield {"input": xs, "k": k}, lhs, tree.tips(level_engine.up(t))
+
+
 def singleton_collapse(max_len: int) -> Iterator[Case]:
     """One final raise of the level-(n-1) tree collapses to subs itself."""
     for n, xs in _prefixes(max_len):
@@ -102,6 +111,7 @@ def registry() -> dict[str, Law]:
         "pascal-spine": pascal_spine,
         "shape-advance": shape_advance,
         "singleton-collapse": singleton_collapse,
+        "up-flat": up_flat,
         "upgrade-level": upgrade_level,
         "upgrade-tips": upgrade_tips,
     }

@@ -17,6 +17,7 @@ MalformedLevel naming the clause that failed.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Sequence, TypeVar
 
 from .combinatorics import choose, subs
@@ -76,6 +77,26 @@ def up(t: BinomialTree[A]) -> BinomialTree[list[A]]:
                 ) from exc
             return Node(zipped, up(right))
     raise TypeError(f"not a tree: {t!r}")
+
+
+def up_flat(k: int, m: int, values: list[A]) -> list[list[A]]:
+    """``up`` on a flat level: raise level k of an m-element input by position.
+
+    ``values`` holds one value per k-subsequence, in ``choose`` order. Column
+    i of the result holds, for every (k+1)-subsequence, the value of its i-th
+    immediate sublist in ``subs`` order, so the rows are the tips of ``up``,
+    which stays the specification. Like ``up``, it splits on the first
+    position: the first ``cut`` values belong to the selections keeping it.
+    """
+    if k == 0:
+        return [values * m]
+    if k + 1 > m:
+        return [[] for _ in range(k + 1)]
+    cut = comb(m - 1, k - 1)
+    left, right = values[:cut], values[cut:]
+    kept = up_flat(k - 1, m - 1, left)
+    rest = up_flat(k, m - 1, right)
+    return [a + b for a, b in zip(kept, rest)] + [right + rest[k]]
 
 
 def upgrade_oracle(k: int, xs: S) -> list[list[S]]:

@@ -6,7 +6,7 @@ answers for all its immediate sublists (every way of deleting one
 element), received in ``subs`` order. ``td`` evaluates that recurrence
 literally and recomputes shared subproblems; it is the executable
 reference, kept deliberately free of caching. ``bu`` computes each level
-of distinct subsequences exactly once by walking a choice tree upward,
+of distinct subsequences exactly once, raising each level by position,
 and always agrees with ``td`` (the equivalence is replayed by the test
 suite and by ``sublists verify``).
 """
@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Generic, Sequence, TypeVar
 
 from . import level_engine
-from .combinatorics import ch, subs
-from .core_tree import extract_singleton, map_tree, un_tip
+from .combinatorics import subs
+from .core_tree import extract_singleton
 from .errors import EmptyInput, LengthMismatch
 
 X = TypeVar("X")
@@ -53,8 +53,8 @@ class SublistProblem(Generic[X, Y]):
 class RunStats:
     """Counters observed during one evaluation.
 
-    ``peak_level_tips`` is the largest tip count of any intermediate tree
-    the bottom-up run built; top-down runs build no trees, so it stays 0.
+    ``peak_level_tips`` is the largest number of answers any level of the
+    bottom-up run held; top-down runs build no levels, so it stays 0.
     """
 
     f_calls: int = 0
@@ -88,20 +88,24 @@ def td_prime(n: int, combine: Callable[[list[Y]], Y], ys: Sequence[Y]) -> Y:
 def bu(n: int, problem: SublistProblem[X, Y], xs: Sequence[X]) -> Y:
     """Bottom-up evaluator: each distinct subsequence is solved once.
 
-    Seed: apply ``base`` to every element and build the level-1 choice
-    tree over the seeded values, so each tip holds one singleton answer.
-    Then n times raise the level with ``up`` and combine every tip; the
-    final tree is a single tip whose value is the answer for ``xs``
-    itself. Every tip of level j gets exactly one ``combine`` call, with
-    j answers.
+    Level k lists the answers for the k-element subsequences of ``xs`` in
+    ``choose`` order; the seed level applies ``base`` to every element.
+    Then n times ``level_engine.up_flat`` raises the level by position (the
+    flat form of the tree ``up``, its specification) and every raised row
+    is combined, until one answer, for ``xs`` itself, is left. Every
+    subsequence of length j gets exactly one ``combine`` call, with j answers.
     """
     if len(xs) != 1 + n:
         raise LengthMismatch(f"index {n} expects length {1 + n}, got {len(xs)}")
-    seeds = [problem.base(x) for x in xs]
-    level = map_tree(extract_singleton, ch(1, seeds))
-    for _ in range(n):
-        level = map_tree(problem.combine, level_engine.up(level))
-    return un_tip(level)
+    level = [problem.base(x) for x in xs]
+    for k in range(1, n + 1):
+        raised = list(map(problem.combine, map(list, zip(*level_engine.up_flat(k, n + 1, level)))))
+        # a list frees its items last to first; reversed, the spent answers go in the order
+        # they were made, so the allocator merges them and gives the memory back
+        level.reverse()
+        level = raised
+    (answer,) = level
+    return answer
 
 
 def run_with_stats(

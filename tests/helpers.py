@@ -71,28 +71,29 @@ def tree_of_shape(k: int, n: int, make_value):
 
 
 def bu_levels(monkeypatch, n: int, problem, xs) -> tuple[list, object]:
-    """Run ``bu`` and return the level trees it raised, in order, and its value.
+    """Run ``bu`` and return the flat levels it raised, in order, and its value.
 
-    The levels are the trees handed to ``level_engine.up``, recorded by a
-    patch that is undone before returning: levels 1 to n, one per raise.
-    ``up`` recurses through the patched name, so only outermost calls count.
+    The levels are copies of the value lists handed to ``level_engine.up_flat``
+    (``bu`` reverses a level once it is spent), recorded by a patch that is
+    undone before returning: levels 1 to n, one per raise. ``up_flat``
+    recurses through the patched name, so only outermost calls count.
     """
     levels = []
-    real_up = level_engine.up
+    real_up_flat = level_engine.up_flat
     depth = 0
 
-    def recording_up(t):
+    def recording_up_flat(k, m, values):
         nonlocal depth
         if depth == 0:
-            levels.append(t)
+            levels.append(list(values))
         depth += 1
         try:
-            return real_up(t)
+            return real_up_flat(k, m, values)
         finally:
             depth -= 1
 
     with monkeypatch.context() as patch:
-        patch.setattr(level_engine, "up", recording_up)
+        patch.setattr(level_engine, "up_flat", recording_up_flat)
         value = bu(n, problem, xs)
     return levels, value
 

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from helpers import bu_g_calls, bu_levels, prefix, td_g_calls, tree_of_shape
+from helpers import bu_g_calls, bu_levels, memo_solve, prefix, td_g_calls, tree_of_shape
 import sublists
 from sublists import (
     MODSUM,
@@ -83,8 +83,10 @@ def test_published_example_values():
 
 def test_level_upgrade_law_sweep():
     with criterion("level-upgrade-law", budget_s=10.0) as box:
-        box["cases"] = laws.replay("upgrade-level", 8)
-        assert box["cases"] == 28  # (n - 1) levels for each n in 2..8
+        for law in ("upgrade-level", "up-flat"):
+            cases = laws.replay(law, 8)
+            assert cases == 28, law  # (n - 1) levels for each n in 2..8
+            box["cases"] += cases
 
 
 def test_evaluator_equivalence_sweep():
@@ -118,12 +120,16 @@ def test_shape_index_suite(monkeypatch):
         for problem in (TRACE, MODSUM):
             for length in range(1, 9):
                 xs = example_input(problem, length)
-                levels, _ = bu_levels(monkeypatch, length - 1, problem, xs)
+                levels, value = bu_levels(monkeypatch, length - 1, problem, xs)
                 assert len(levels) == length - 1
-                for i, tree in enumerate(levels):
-                    assert check_shape(tree, (1 + i, length)), (problem.name, length, i)
+                for k, level in enumerate(levels, start=1):
+                    assert len(level) == math.comb(length, k), (problem.name, length, k)
+                    expected = [memo_solve(problem, ys) for ys in choose(k, xs)]
+                    assert level == expected, (problem.name, length, k)
                 if levels:
-                    assert isinstance(up(levels[-1]), Tip)
+                    rows = list(zip(*level_engine.up_flat(length - 1, length, levels[-1])))
+                    assert len(rows) == 1
+                    assert problem.combine(list(rows[0])) == value
                 box["cases"] += 1
 
 

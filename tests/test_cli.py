@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from helpers import bu_g_calls, td_g_calls
-from sublists import Node, ch, map_tree, subs
-from sublists import combinatorics, encode_tree, level_engine, solver
+from helpers import bu_g_calls, prefix, td_g_calls
+from sublists import TRACE, Node, ch, map_tree, solve, subs
+from sublists import cli, combinatorics, encode_tree, level_engine, solver
 from sublists.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -91,6 +91,39 @@ def test_run_reports_differ_when_an_evaluator_is_broken(capsys, monkeypatch):
     assert "verdict: DIFFER" in out
 
 
+def test_run_refuses_long_trace_inputs_before_solving(capsys, monkeypatch):
+    def no_solve(n, problem, xs):
+        raise AssertionError("bu ran")
+
+    monkeypatch.setattr(solver, "bu", no_solve)
+    code, _, err = run_cli(capsys, "run", "--problem", "trace", "--input", "a" * 12, "--algo", "bu")
+    assert code == 2
+    assert "exceeds the trace limit of 11" in err and "1,167,117,890 characters" in err
+
+
+def test_trace_answer_length_follows_the_recurrence():
+    assert cli.trace_answer_length(11) == 97_259_824
+    for m in range(1, 9):
+        assert cli.trace_answer_length(m) == len(solve(TRACE, prefix(m))), m
+
+
+def test_a_broken_up_flat_is_caught(capsys, monkeypatch):
+    real_up_flat = level_engine.up_flat
+
+    def swapped_up_flat(k, m, values):
+        columns = real_up_flat(k, m, values)
+        columns[0], columns[-1] = columns[-1], columns[0]
+        return columns
+
+    monkeypatch.setattr(level_engine, "up_flat", swapped_up_flat)
+    code, out, _ = run_cli(capsys, "verify", "--max-len", "4")
+    assert code == 1
+    assert "counterexample" in out and "input:" in out
+    code, out, _ = run_cli(capsys, "run", "--problem", "trace", "--input", "abc", "--algo", "both")
+    assert code == 1
+    assert "verdict: DIFFER" in out
+
+
 def test_dump_tree_is_byte_exact(capsys):
     code, out, _ = run_cli(capsys, "dump", "--k", "1", "--input", "yz")
     assert code == 0
@@ -136,6 +169,7 @@ def test_verify_passes_and_reports_sorted_law_counts(capsys):
         "td-bu[maxmin]",
         "td-bu[modsum]",
         "td-bu[trace]",
+        "up-flat",
         "upgrade-level",
         "upgrade-tips",
     ]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,6 +26,7 @@ from sublists import (
     upgrade_oracle,
     zip_tree_with,
 )
+from sublists import level_engine
 from sublists.core_tree import snoc
 
 
@@ -139,6 +142,17 @@ def test_up_rearranges_values_without_looking(d, kn):
         return v * 3 + 1
 
     assert up(map_tree(f, t)) == map_tree(lambda ys: [f(y) for y in ys], up(t))
+
+
+@given(d=st.data(), km=st.sampled_from([(k, m) for m in range(2, 10) for k in range(1, m)]))
+@settings(deadline=None)
+def test_up_flat_is_up_on_the_tips(d, km):
+    # naturality on the flat form: the raise moves values by position only,
+    # so any values laid out in choose order raise like the tree's tips
+    k, m = km
+    values = d.draw(st.lists(st.integers(-100, 100), min_size=comb(m, k), max_size=comb(m, k)))
+    t = tree_of_shape(k, m, iter(values).__next__)
+    assert [list(row) for row in zip(*level_engine.up_flat(k, m, values))] == tips(up(t))
 
 
 @given(d=st.data(), kn=shape_indices)

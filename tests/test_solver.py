@@ -18,14 +18,13 @@ from sublists import (
     LengthMismatch,
     bu,
     builtin_problems,
-    check_shape,
+    choose,
     example_input,
     run_with_stats,
     solve,
     td,
-    un_tip,
-    up,
 )
+from sublists import level_engine
 from sublists.solver import td_prime
 
 
@@ -123,10 +122,13 @@ def test_bu_levels_have_the_right_shapes(monkeypatch):
         xs = prefix(n + 1)
         levels, value = bu_levels(monkeypatch, n, TRACE, xs)
         assert len(levels) == n
-        for i, tree in enumerate(levels):
-            assert check_shape(tree, (1 + i, n + 1)), (n, i)
-        # the last raise collapses to one tip, and bu returns its combined value
-        assert value == TRACE.combine(un_tip(up(levels[-1])))
+        for k, level in enumerate(levels, start=1):
+            assert len(level) == comb(n + 1, k), (n, k)
+            assert level == [memo_solve(TRACE, ys) for ys in choose(k, xs)], (n, k)
+        # the last raise yields one row, and bu returns its combined value
+        rows = list(zip(*level_engine.up_flat(n, n + 1, levels[-1])))
+        assert len(rows) == 1
+        assert value == TRACE.combine(list(rows[0]))
 
 
 def test_solve_dispatches_and_validates():
