@@ -7,8 +7,8 @@ one law, counts its cases and raises ``Counterexample`` at the first case
 whose sides differ. ``sublists verify`` prints what ``replay_all`` returns,
 and the acceptance tests replay the same registry.
 
-Laws reach ``level_engine.up``, ``level_engine.up_flat``, ``solver.td`` and
-``solver.bu`` through their modules rather than binding them at import
+Laws reach ``level_engine.up``, ``level_engine.gather_plan``, ``solver.td``
+and ``solver.bu`` through their modules rather than binding them at import
 time, so a replacement patched into one of them is exactly what gets checked.
 """
 
@@ -59,12 +59,12 @@ def upgrade_tips(max_len: int) -> Iterator[Case]:
             yield {"input": xs, "k": k}, lhs, level_engine.upgrade_oracle(k, xs)
 
 
-def up_flat(max_len: int) -> Iterator[Case]:
-    """Raising the level's tips as a flat list gives the raised tree's tips."""
+def gathered_tips(max_len: int) -> Iterator[Case]:
+    """Gathering the level's tips by the length's plan gives the raised tree's tips."""
     for n, xs in _prefixes(max_len):
         for k in range(1, n):
-            t = comb.ch(k, xs)
-            lhs = [list(row) for row in zip(*level_engine.up_flat(k, n, tree.tips(t)))]
+            t, plan = comb.ch(k, xs), level_engine.gather_plan(n)[k - 1]
+            lhs = [list(row) for row in zip(*[map(tree.tips(t).__getitem__, plan)] * (k + 1))]
             yield {"input": xs, "k": k}, lhs, tree.tips(level_engine.up(t))
 
 
@@ -111,7 +111,7 @@ def registry() -> dict[str, Law]:
         "pascal-spine": pascal_spine,
         "shape-advance": shape_advance,
         "singleton-collapse": singleton_collapse,
-        "up-flat": up_flat,
+        "up-flat": gathered_tips,
         "upgrade-level": upgrade_level,
         "upgrade-tips": upgrade_tips,
     }

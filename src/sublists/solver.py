@@ -90,16 +90,17 @@ def bu(n: int, problem: SublistProblem[X, Y], xs: Sequence[X]) -> Y:
 
     Level k lists the answers for the k-element subsequences of ``xs`` in
     ``choose`` order; the seed level applies ``base`` to every element.
-    Then n times ``level_engine.up_flat`` raises the level by position (the
-    flat form of the tree ``up``, its specification) and every raised row
-    is combined, until one answer, for ``xs`` itself, is left. Every
-    subsequence of length j gets exactly one ``combine`` call, with j answers.
+    Then n times the level is gathered by its ``level_engine.gather_plan``
+    (``up`` compiled to positions; the tree ``up`` is its specification) and
+    every gathered row is combined, until one answer, for ``xs`` itself, is
+    left. Every subsequence of length j gets exactly one ``combine`` call,
+    with j answers.
     """
     if len(xs) != 1 + n:
         raise LengthMismatch(f"index {n} expects length {1 + n}, got {len(xs)}")
     level = [problem.base(x) for x in xs]
-    for k in range(1, n + 1):
-        raised = list(map(problem.combine, map(list, zip(*level_engine.up_flat(k, n + 1, level)))))
+    for k, plan in enumerate(level_engine.gather_plan(n + 1), start=1):
+        raised = list(map(problem.combine, map(list, zip(*[map(level.__getitem__, plan)] * (k + 1)))))
         # a list frees its items last to first; reversed, the spent answers go in the order
         # they were made, so the allocator merges them and gives the memory back
         level.reverse()

@@ -14,9 +14,11 @@ the tests read them.
 
 from __future__ import annotations
 
+import collections
 import functools
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 from string import ascii_lowercase
 
@@ -32,7 +34,6 @@ from sublists import (
     spine_sizes,
     subs,
 )
-from sublists import level_engine
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
@@ -70,32 +71,30 @@ def tree_of_shape(k: int, n: int, make_value):
     return Node(tree_of_shape(k - 1, n - 1, make_value), tree_of_shape(k, n - 1, make_value))
 
 
-def bu_levels(monkeypatch, n: int, problem, xs) -> tuple[list, object]:
-    """Run ``bu`` and return the flat levels it raised, in order, and its value.
+def bu_levels(n: int, problem, xs) -> tuple[list, object]:
+    """Run ``bu`` and return the levels it raised, in order, and its value.
 
-    The levels are copies of the value lists handed to ``level_engine.up_flat``
-    (``bu`` reverses a level once it is spent), recorded by a patch that is
-    undone before returning: levels 1 to n, one per raise. ``up_flat``
-    recurses through the patched name, so only outermost calls count.
+    ``bu`` is observed through its calls: level 1 holds the answers of the
+    ``base`` calls and level j those of the ``combine`` calls on j answers,
+    each in the order ``bu`` made them; levels 1 to n, one per raise.
     """
-    levels = []
-    real_up_flat = level_engine.up_flat
-    depth = 0
+    levels = collections.defaultdict(list)
 
-    def recording_up_flat(k, m, values):
-        nonlocal depth
-        if depth == 0:
-            levels.append(list(values))
-        depth += 1
-        try:
-            return real_up_flat(k, m, values)
-        finally:
-            depth -= 1
+    def recording_base(x):
+        levels[1].append(problem.base(x))
+        return levels[1][-1]
 
-    with monkeypatch.context() as patch:
-        patch.setattr(level_engine, "up_flat", recording_up_flat)
-        value = bu(n, problem, xs)
-    return levels, value
+    def recording_combine(ys):
+        levels[len(ys)].append(problem.combine(ys))
+        return levels[len(ys)][-1]
+
+    value = bu(n, replace(problem, base=recording_base, combine=recording_combine), xs)
+    return [levels[k] for k in range(1, n + 1)], value
+
+
+def gather(values: list, plan, width: int) -> list[list]:
+    """The rows a gather plan picks out of ``values``, ``width`` positions each."""
+    return [[values[i] for i in plan[j : j + width]] for j in range(0, len(plan), width)]
 
 
 def td_g_calls(n: int) -> int:

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from helpers import bu_g_calls, bu_levels, memo_solve, prefix, td_g_calls, tree_of_shape
+from helpers import bu_g_calls, bu_levels, gather, memo_solve, prefix, td_g_calls, tree_of_shape
 import sublists
 from sublists import (
     MODSUM,
@@ -108,7 +108,7 @@ def test_single_raise_collapses_to_sublists():
         assert box["cases"] == 7
 
 
-def test_shape_index_suite(monkeypatch):
+def test_shape_index_suite():
     with criterion("shape-indices", budget_s=10.0) as box:
         for n in range(0, 11):
             xs = prefix(n)
@@ -120,16 +120,17 @@ def test_shape_index_suite(monkeypatch):
         for problem in (TRACE, MODSUM):
             for length in range(1, 9):
                 xs = example_input(problem, length)
-                levels, value = bu_levels(monkeypatch, length - 1, problem, xs)
+                levels, value = bu_levels(length - 1, problem, xs)
                 assert len(levels) == length - 1
                 for k, level in enumerate(levels, start=1):
                     assert len(level) == math.comb(length, k), (problem.name, length, k)
                     expected = [memo_solve(problem, ys) for ys in choose(k, xs)]
                     assert level == expected, (problem.name, length, k)
                 if levels:
-                    rows = list(zip(*level_engine.up_flat(length - 1, length, levels[-1])))
+                    plan = level_engine.gather_plan(length)[length - 2]
+                    rows = gather(levels[-1], plan, length)
                     assert len(rows) == 1
-                    assert problem.combine(list(rows[0])) == value
+                    assert problem.combine(rows[0]) == value
                 box["cases"] += 1
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+from array import array
 from pathlib import Path
 
 import pytest
@@ -107,18 +108,22 @@ def test_trace_answer_length_follows_the_recurrence():
         assert cli.trace_answer_length(m) == len(solve(TRACE, prefix(m))), m
 
 
-def test_a_broken_up_flat_is_caught(capsys, monkeypatch):
-    real_up_flat = level_engine.up_flat
+def test_a_broken_gather_plan_is_caught(capsys, monkeypatch):
+    real_gather_plan = level_engine.gather_plan
 
-    def swapped_up_flat(k, m, values):
-        columns = real_up_flat(k, m, values)
-        columns[0], columns[-1] = columns[-1], columns[0]
-        return columns
+    def swapped_gather_plan(m):
+        # the first and last position of every row trade places
+        plans = []
+        for k, plan in enumerate(real_gather_plan(m), start=1):
+            rows = array(plan.format, plan)
+            rows[0 :: k + 1], rows[k :: k + 1] = rows[k :: k + 1], rows[0 :: k + 1]
+            plans.append(rows)
+        return tuple(plans)
 
-    monkeypatch.setattr(level_engine, "up_flat", swapped_up_flat)
+    monkeypatch.setattr(level_engine, "gather_plan", swapped_gather_plan)
     code, out, _ = run_cli(capsys, "verify", "--max-len", "4")
     assert code == 1
-    assert "counterexample" in out and "input:" in out
+    assert "counterexample" in out and "input:" in out and "td-bu[modsum]" in out
     code, out, _ = run_cli(capsys, "run", "--problem", "trace", "--input", "abc", "--algo", "both")
     assert code == 1
     assert "verdict: DIFFER" in out

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import prefix, tree_of_shape
+from helpers import gather, prefix, tree_of_shape
 from sublists import (
     TRACE,
     MalformedLevel,
@@ -152,7 +152,30 @@ def test_up_flat_is_up_on_the_tips(d, km):
     k, m = km
     values = d.draw(st.lists(st.integers(-100, 100), min_size=comb(m, k), max_size=comb(m, k)))
     t = tree_of_shape(k, m, iter(values).__next__)
-    assert [list(row) for row in zip(*level_engine.up_flat(k, m, values))] == tips(up(t))
+    assert gather(values, level_engine.gather_plan(m)[k - 1], k + 1) == tips(up(t))
+
+
+def test_gather_plans_are_cached_once_per_length():
+    plans = level_engine.gather_plan(7)
+    built = level_engine.gather_plan.cache_info().misses
+    assert level_engine.gather_plan(7) is plans
+    assert level_engine.gather_plan.cache_info().misses == built
+    assert [len(plan) for plan in plans] == [(k + 1) * comb(7, k + 1) for k in range(1, 7)]
+    with pytest.raises(TypeError):
+        plans[0][0] = 1  # shared by every later call, so read-only
+    assert level_engine.gather_plan(1) == ()
+    assert list(level_engine.gather_plan(2)[0]) == [0, 1]
+
+
+def test_gather_plan_positions_fit_their_typecode():
+    # a level holds at most C(m, m // 2) answers; 16-bit positions last through m = 18
+    assert [level_engine._typecode(m) for m in (1, 17, 18, 19, 20)] == ["H", "H", "H", "I", "I"]
+    assert comb(18, 9) < 2**16 <= comb(19, 9)
+    plans = level_engine.gather_plan(15)
+    assert {plan.format for plan in plans} == {"H"}
+    # m * 2**(m-1) - m positions: 480 KiB at 15 elements
+    assert sum(map(len, plans)) == 15 * 2**14 - 15 == 245_745
+    assert sum(plan.nbytes for plan in plans) == 491_490 <= 480 * 1024
 
 
 @given(d=st.data(), kn=shape_indices)

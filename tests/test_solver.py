@@ -7,7 +7,7 @@ from math import comb, factorial
 
 import pytest
 
-from helpers import bu_g_calls, bu_levels, memo_solve, prefix, td_g_calls
+from helpers import bu_g_calls, bu_levels, gather, memo_solve, prefix, td_g_calls
 from sublists import (
     MAXMIN,
     MODSUM,
@@ -74,6 +74,10 @@ def test_both_evaluators_agree_with_each_other_and_with_memoization():
 
 def test_bu_trace_example():
     assert bu(2, TRACE, "abc") == "((ab)(ac)(bc))"
+    # the shortest inputs: no plan at one element, the one-row plan at two
+    assert bu(0, TRACE, "z") == "z"
+    assert bu(1, TRACE, "zy") == "(zy)"
+    assert bu(1, MODSUM, [5, 7]) == (1 + 5 * 1 + 7 * 2) % MODULUS
 
 
 def test_run_with_stats_returns_the_bare_value():
@@ -117,18 +121,18 @@ def test_peak_level_tips():
     assert td_stats.peak_level_tips == 0
 
 
-def test_bu_levels_have_the_right_shapes(monkeypatch):
+def test_bu_levels_have_the_right_shapes():
     for n in range(1, 8):
         xs = prefix(n + 1)
-        levels, value = bu_levels(monkeypatch, n, TRACE, xs)
+        levels, value = bu_levels(n, TRACE, xs)
         assert len(levels) == n
         for k, level in enumerate(levels, start=1):
             assert len(level) == comb(n + 1, k), (n, k)
             assert level == [memo_solve(TRACE, ys) for ys in choose(k, xs)], (n, k)
         # the last raise yields one row, and bu returns its combined value
-        rows = list(zip(*level_engine.up_flat(n, n + 1, levels[-1])))
+        rows = gather(levels[-1], level_engine.gather_plan(n + 1)[n - 1], n + 1)
         assert len(rows) == 1
-        assert value == TRACE.combine(list(rows[0]))
+        assert value == TRACE.combine(rows[0])
 
 
 def test_solve_dispatches_and_validates():
