@@ -17,9 +17,10 @@ MalformedLevel naming the clause that failed.
 
 from __future__ import annotations
 
-import functools
 from array import array
+from itertools import repeat
 from math import comb
+from operator import add
 from typing import Sequence, TypeVar
 
 from .combinatorics import choose, subs
@@ -81,44 +82,53 @@ def up(t: BinomialTree[A]) -> BinomialTree[list[A]]:
     raise TypeError(f"not a tree: {t!r}")
 
 
-@functools.cache
+_table: tuple[array, ...] = ()  # the plans for k = 0..M-1 of the longest length M built so far
+
+
 def gather_plan(m: int) -> tuple[memoryview, ...]:
     """``up`` compiled for an m-element input: where each raised row gathers from.
 
-    Entry k - 1 is level k's plan, for k = 1..m-1: read-only unsigned
-    positions, row-major with k + 1 to a row. Row j lists the positions in
-    level k (``choose`` order) of the (j+1)-th (k+1)-subsequence's immediate
-    sublists in ``subs`` order, so gathering level k by it yields the tips of
-    ``up``, which stays the specification. The plans are derived by ``up``'s
-    own split on the first position, for m' = 1..m: the first C(m'-1, k) rows
-    of (k, m') keep it, and are the rows of (k-1, m'-1) each followed by
-    ``cut + j`` with ``cut = C(m'-1, k-1)``; the rest are the rows of
-    (k, m'-1) shifted by ``cut``. Only the plans for m'-1 are kept while
-    those for m' are built.
+    Entry k - 1 is level k's plan, for k = 1..m-1: read-only positions
+    counted from the level's end (p - C(m, k)), row-major with k + 1 to a
+    row. Row j lists the positions in level k (``choose`` order) of the
+    (j+1)-th (k+1)-subsequence's immediate sublists in ``subs`` order, so
+    gathering level k by it yields the tips of ``up``, the specification.
 
-    Cached once per length: m * 2**(m-1) - m positions (480 KiB at 15, 40 MiB
-    at 20) stay resident, and as a plan more than doubles with each length,
-    all the cached plans hold fewer than twice the largest.
+    ``choose`` lists the subsequences without the first element last, so
+    plan (k, m) is a tail of plan (k, M) for every M > m. One table, for the
+    longest length M asked for so far, stays resident (M * 2**(M-1)
+    positions: 480 KiB at 15, 40 MiB at 20); a shorter length gets views of
+    its tails and builds nothing. A longer one grows it a length at a time
+    by ``up``'s split on the first position: plan (k, M+1) is the rows of
+    (k-1, M), row j shifted by -C(M, k) and followed by j - C(M, k), then
+    plan (k, M) as it stands. Each grown table is published in one assignment.
     """
-    tc = _typecode(m)
-    plans = [array(tc, [0])]  # k = 0: every singleton gathers the one answer of level 0
-    for mp in range(2, m + 1):
-        prev, plans = plans, [array(tc, [0]) * mp]
+    global _table
+    table = _table
+    for mp in range(len(table) + 1, m + 1):
+        tc = _typecode(mp)
+        if table and table[0].typecode != tc:  # positions outgrow 16 bits at m' = 18
+            table = tuple(array(tc, plan) for plan in table)
+        plans = [array(tc, [-1]) * mp]  # k = 0: every singleton gathers the one answer of level 0
         for k in range(1, mp):
-            cut, keep = comb(mp - 1, k - 1), comb(mp - 1, k)
-            plan = array(tc, [0]) * ((k + 1) * keep)
+            keep = comb(mp - 1, k)  # rows that keep the first element, from (k-1, m'-1)
+            head = (k + 1) * keep
+            kept = array(tc, map(add, table[k - 1], repeat(-keep)))
+            plan = array(tc, [0]) * ((k + 1) * comb(mp, k + 1))
             for i in range(k):
-                plan[i :: k + 1] = prev[k - 1][i::k]
-            plan[k :: k + 1] = array(tc, range(cut, cut + keep))
+                plan[i : head : k + 1] = kept[i::k]
+            plan[k : head : k + 1] = array(tc, range(-keep, 0))
             if k < mp - 1:  # (k, m'-1) has rows only while k < m'-1
-                plan.extend(map(cut.__add__, prev[k]))
+                plan[head:] = table[k]
             plans.append(plan)
-    return tuple(memoryview(plan).toreadonly() for plan in plans[1:])
+        table = _table = tuple(plans)
+    views = (memoryview(plan).toreadonly() for plan in table[1:m])
+    return tuple(view[len(view) - (k + 1) * comb(m, k + 1) :] for k, view in enumerate(views, start=1))
 
 
 def _typecode(m: int) -> str:
     """The narrowest array typecode that holds every position of an m-element plan."""
-    return "H" if comb(m, m // 2) < 65536 else "I"
+    return "h" if comb(m, m // 2) <= 32768 else "i"
 
 
 def upgrade_oracle(k: int, xs: S) -> list[list[S]]:

@@ -91,10 +91,10 @@ def bu(n: int, problem: SublistProblem[X, Y], xs: Sequence[X]) -> Y:
     Level k lists the answers for the k-element subsequences of ``xs`` in
     ``choose`` order; the seed level applies ``base`` to every element.
     Then n times the level is gathered by its ``level_engine.gather_plan``
-    (``up`` compiled to positions; the tree ``up`` is its specification) and
-    every gathered row is combined, until one answer, for ``xs`` itself, is
-    left. Every subsequence of length j gets exactly one ``combine`` call,
-    with j answers.
+    (``up`` compiled to positions counted from the level's end, views of one
+    shared table; the tree ``up`` is its specification) and every gathered
+    row is combined, until one answer, for ``xs`` itself, is left. Every
+    subsequence of length j gets exactly one ``combine`` call, with j answers.
     """
     if len(xs) != 1 + n:
         raise LengthMismatch(f"index {n} expects length {1 + n}, got {len(xs)}")

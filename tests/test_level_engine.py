@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+import tracemalloc
 from math import comb
 
 import pytest
@@ -155,26 +158,92 @@ def test_up_flat_is_up_on_the_tips(d, km):
     assert gather(values, level_engine.gather_plan(m)[k - 1], k + 1) == tips(up(t))
 
 
-def test_gather_plans_are_cached_once_per_length():
+def test_gather_plans_are_tails_of_one_shared_table(monkeypatch):
+    # tests share one process, so start from an empty table and give the old one back after
+    monkeypatch.setattr(level_engine, "_table", ())
     plans = level_engine.gather_plan(7)
-    built = level_engine.gather_plan.cache_info().misses
-    assert level_engine.gather_plan(7) is plans
-    assert level_engine.gather_plan.cache_info().misses == built
+    table = level_engine._table
+    assert len(table) == 7
     assert [len(plan) for plan in plans] == [(k + 1) * comb(7, k + 1) for k in range(1, 7)]
     with pytest.raises(TypeError):
-        plans[0][0] = 1  # shared by every later call, so read-only
+        plans[0][0] = 1  # a view of the shared table, so read-only
     assert level_engine.gather_plan(1) == ()
-    assert list(level_engine.gather_plan(2)[0]) == [0, 1]
+    assert list(level_engine.gather_plan(2)[0]) == [-2, -1]
+
+    # a shorter length builds nothing: its plans are tail views of the table's own buffers
+    shorter = level_engine.gather_plan(5)
+    assert level_engine._table is table
+    assert all(view.obj is table[k] for k, view in enumerate(shorter, start=1))
+    assert [list(view) for view in shorter] == [list(plan)[-len(view) :] for view, plan in zip(shorter, plans)]
+
+    # growing keeps the old plans as tails
+    old = [list(plan) for plan in plans]
+    grown = level_engine.gather_plan(9)
+    assert len(level_engine._table) == 9
+    assert [list(plan)[-len(was) :] for plan, was in zip(grown, old)] == old
+    assert [list(plan) for plan in level_engine.gather_plan(7)] == old
+    del plans, shorter, grown
+
+    # only the longest length's table stays resident
+    monkeypatch.setattr(level_engine, "_table", ())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for m in (9, 12, 10):
+            level_engine.gather_plan(m)
+        resident = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    table = level_engine._table
+    assert len(table) == 12
+    assert sum(plan.itemsize * len(plan) for plan in table) == 2 * 12 * 2**11
+    alone = sys.getsizeof(table) + sum(map(sys.getsizeof, table))
+    assert alone <= resident < alone + 1024  # the 9- and 10-element tables would add 14.8 KiB
 
 
-def test_gather_plan_positions_fit_their_typecode():
-    # a level holds at most C(m, m // 2) answers; 16-bit positions last through m = 18
-    assert [level_engine._typecode(m) for m in (1, 17, 18, 19, 20)] == ["H", "H", "H", "I", "I"]
-    assert comb(18, 9) < 2**16 <= comb(19, 9)
+def test_concurrent_readers_see_only_whole_plans(monkeypatch):
+    # threads grow and read the shared table at once; each must get exactly the plans
+    lengths = list(range(1, 13))
+    expected = {m: [list(plan) for plan in level_engine.gather_plan(m)] for m in lengths}
+    orders = [lengths[i:] + lengths[:i] for i in range(0, 12, 3)] + [lengths[::-1]]
+    wrong = []
+
+    def read(barrier, order):
+        barrier.wait(timeout=60)
+        for m in order:
+            try:
+                got = [list(plan) for plan in level_engine.gather_plan(m)]
+            except Exception as exc:  # a half-built table may also raise; report it as a wrong read
+                got = exc
+            if got != expected[m]:
+                wrong.append((m, got))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            monkeypatch.setattr(level_engine, "_table", ())
+            barrier = threading.Barrier(len(orders))
+            threads = [threading.Thread(target=read, args=(barrier, order)) for order in orders]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+
+
+def test_gather_plan_positions_fit_their_typecode(monkeypatch):
+    # a level holds at most C(m, m // 2) answers; signed 16-bit positions from the end last through 17
+    assert [level_engine._typecode(m) for m in (1, 16, 17, 18, 20)] == ["h", "h", "h", "i", "i"]
+    assert comb(17, 8) <= 32768 < comb(18, 9)
+    monkeypatch.setattr(level_engine, "_table", ())
     plans = level_engine.gather_plan(15)
-    assert {plan.format for plan in plans} == {"H"}
-    # m * 2**(m-1) - m positions: 480 KiB at 15 elements
-    assert sum(map(len, plans)) == 15 * 2**14 - 15 == 245_745
+    assert {plan.format for plan in plans} == {"h"}
+    # the table holds m * 2**(m-1) positions, 480 KiB at 15 elements; bu never gathers the k = 0 plan
+    assert sum(len(plan) for plan in level_engine._table) == 15 * 2**14 == 245_760
     assert sum(plan.nbytes for plan in plans) == 491_490 <= 480 * 1024
 
 
