@@ -12,7 +12,10 @@ Three problems ship with the package:
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import add, mul
 from string import ascii_lowercase
+from typing import Iterable
 
 from .solver import SublistProblem
 
@@ -24,7 +27,7 @@ def _trace_base(x) -> str:
 
 
 def _trace_combine(ys: list[str]) -> str:
-    return "(" + "".join(ys) + ")"
+    return "".join(["(", *ys, ")"])
 
 
 def _modsum_base(x: int) -> int:
@@ -36,6 +39,14 @@ def _modsum_combine(ys: list[int]) -> int:
     return (1 + sum(v * i for i, v in enumerate(ys, start=1))) % MODULUS
 
 
+def _modsum_combine_level(columns: list[Iterable[int]]) -> list[int]:
+    # column i holds every row's i-th answer: weight whole columns and add them up
+    acc = list(columns[0])
+    for i, col in enumerate(columns[1:], start=2):
+        acc = list(map(add, acc, map(mul, col, repeat(i))))
+    return [(1 + a) % MODULUS for a in acc]
+
+
 def _maxmin_base(x: int) -> int:
     return x
 
@@ -45,7 +56,9 @@ def _maxmin_combine(ys: list[int]) -> int:
 
 
 TRACE = SublistProblem("trace", _trace_base, _trace_combine, input_kind="chars")
-MODSUM = SublistProblem("modsum", _modsum_base, _modsum_combine, input_kind="ints")
+MODSUM = SublistProblem(
+    "modsum", _modsum_base, _modsum_combine, input_kind="ints", combine_level=_modsum_combine_level
+)
 MAXMIN = SublistProblem("maxmin", _maxmin_base, _maxmin_combine, input_kind="ints")
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import random
 from string import ascii_lowercase
 from typing import Any, Callable, Iterator
 
@@ -105,6 +106,21 @@ def td_bu(problem: solver.SublistProblem, max_len: int) -> Iterator[Case]:
         yield {"input": xs}, lhs, solver.bu(length - 1, problem, xs)
 
 
+def combine_level(problem: solver.SublistProblem, max_len: int) -> Iterator[Case]:
+    """A whole-level combine equals the row combine on every row of a gathered level.
+
+    The level holds seeded ints over [0, MODULUS), the answers of the integer problems.
+    """
+    rng = random.Random(0)
+    for n, xs in _prefixes(max_len):
+        for k in range(1, n):
+            level = [rng.randrange(instances.MODULUS) for _ in range(math.comb(n, k))]
+            plan = level_engine.gather_plan(n)[k - 1]
+            rows = zip(*[map(level.__getitem__, plan)] * (k + 1))
+            lhs = problem.combine_level([map(level.__getitem__, plan[i :: k + 1]) for i in range(k + 1)])
+            yield {"input": xs, "k": k}, lhs, [problem.combine(list(row)) for row in rows]
+
+
 def registry() -> dict[str, Law]:
     """Every law by name, in the sorted order ``verify`` reports them."""
     laws: dict[str, Law] = {
@@ -117,6 +133,8 @@ def registry() -> dict[str, Law]:
     }
     for problem in instances.builtin_problems():
         laws[f"td-bu[{problem.name}]"] = functools.partial(td_bu, problem)
+        if problem.combine_level:
+            laws[f"combine-level[{problem.name}]"] = functools.partial(combine_level, problem)
     return dict(sorted(laws.items()))
 
 

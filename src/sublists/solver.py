@@ -16,7 +16,8 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Callable, Generic, Sequence, TypeVar
+from functools import partial
+from typing import Callable, Generic, Iterable, Sequence, TypeVar
 
 from . import level_engine
 from .combinatorics import subs
@@ -41,12 +42,22 @@ class SublistProblem(Generic[X, Y]):
     sequence, in ``subs`` order, and returns the sequence's answer.
     ``input_kind`` tells the CLI how to parse and generate inputs
     ("chars" for character strings, "ints" for comma-separated integers).
+
+    ``combine_level``, when given, is ``combine`` for a block of rows at
+    once: it receives the rows' argument columns (column i holds every
+    row's i-th answer), equal-length iterables each consumed once, and
+    returns the rows' answers in order. It must equal
+    ``list(map(combine, rows))``; ``bu`` uses it in place of ``combine``,
+    while ``td`` uses only ``combine``, which stays the definition.
+    ``replace(problem, combine=...)`` keeps the old ``combine_level``, so
+    clear or replace it in the same call.
     """
 
     name: str
     base: Callable[[X], Y]
     combine: Callable[[list[Y]], Y]
     input_kind: str = "chars"
+    combine_level: Callable[[list[Iterable[Y]]], list[Y]] | None = None
 
 
 @dataclass
@@ -85,6 +96,15 @@ def td_prime(n: int, combine: Callable[[list[Y]], Y], ys: Sequence[Y]) -> Y:
     return combine([td_prime(n - 1, combine, zs) for zs in subs(ys)])
 
 
+# rows per combine_level call: whole levels would hold several levels of fresh answers at once
+_BLOCK = 512
+
+
+def _combine_rows(combine: Callable[[list[Y]], Y], columns: list[Iterable[Y]]) -> list[Y]:
+    """The row path: one ``combine`` call, on a fresh list, per row of the columns."""
+    return list(map(combine, map(list, zip(*columns))))
+
+
 def bu(n: int, problem: SublistProblem[X, Y], xs: Sequence[X]) -> Y:
     """Bottom-up evaluator: each distinct subsequence is solved once.
 
@@ -92,15 +112,22 @@ def bu(n: int, problem: SublistProblem[X, Y], xs: Sequence[X]) -> Y:
     ``choose`` order; the seed level applies ``base`` to every element.
     Then n times the level is gathered by its ``level_engine.gather_plan``
     (``up`` compiled to positions counted from the level's end, views of one
-    shared table; the tree ``up`` is its specification) and every gathered
-    row is combined, until one answer, for ``xs`` itself, is left. Every
-    subsequence of length j gets exactly one ``combine`` call, with j answers.
+    shared table; the tree ``up`` is its specification) and combined, until
+    one answer, for ``xs`` itself, is left. A level is raised ``_BLOCK`` rows
+    at a time: the block's k + 1 argument columns go to ``combine_level``
+    when the problem has one, and otherwise every row goes to ``combine``.
+    Either way every subsequence of length j gets exactly one answer, from
+    j answers.
     """
     if len(xs) != 1 + n:
         raise LengthMismatch(f"index {n} expects length {1 + n}, got {len(xs)}")
+    combine_level = problem.combine_level or partial(_combine_rows, problem.combine)
     level = [problem.base(x) for x in xs]
     for k, plan in enumerate(level_engine.gather_plan(n + 1), start=1):
-        raised = list(map(problem.combine, map(list, zip(*[map(level.__getitem__, plan)] * (k + 1)))))
+        raised: list[Y] = []
+        for lo in range(0, len(plan), _BLOCK * (k + 1)):
+            block = plan[lo : lo + _BLOCK * (k + 1)]
+            raised.extend(combine_level([map(level.__getitem__, block[i :: k + 1]) for i in range(k + 1)]))
         # a list frees its items last to first; reversed, the spent answers go in the order
         # they were made, so the allocator merges them and gives the memory back
         level.reverse()
@@ -114,11 +141,12 @@ def run_with_stats(
 ) -> tuple[Y, RunStats]:
     """Evaluate like td/bu and report call counts alongside the value.
 
-    Counting wraps ``base`` and ``combine`` only; the algorithms run
-    unchanged, so the value is identical to the bare evaluators'. The
-    bottom-up level sizes are read from the calls: the seed level has
-    one tip per ``base`` call, and level j one tip per ``combine`` call
-    on j answers.
+    Counting wraps ``base``, ``combine`` and ``combine_level`` only; the
+    algorithms run unchanged, so the value is identical to the bare
+    evaluators'. The bottom-up level sizes are read from the calls: the
+    seed level has one tip per ``base`` call, and level j one tip per
+    ``combine`` call on j answers, or per answer of a ``combine_level``
+    call on j columns.
     """
     stats = RunStats()
 
@@ -141,7 +169,18 @@ def run_with_stats(
         calls_by_length[len(ys)] += 1
         return problem.combine(ys)
 
-    value = bu(n, replace(problem, base=counted_base, combine=counted_level_combine), xs)
+    def counted_combine_level(columns):
+        answers = problem.combine_level(columns)
+        calls_by_length[len(columns)] += len(answers)
+        return answers
+
+    counted = replace(
+        problem,
+        base=counted_base,
+        combine=counted_level_combine,
+        combine_level=counted_combine_level if problem.combine_level else None,
+    )
+    value = bu(n, counted, xs)
     stats.g_calls = calls_by_length.total()
     stats.peak_level_tips = max([stats.f_calls, *calls_by_length.values()])
     return value, stats

@@ -76,7 +76,8 @@ def bu_levels(n: int, problem, xs) -> tuple[list, object]:
 
     ``bu`` is observed through its calls: level 1 holds the answers of the
     ``base`` calls and level j those of the ``combine`` calls on j answers,
-    each in the order ``bu`` made them; levels 1 to n, one per raise.
+    or of the ``combine_level`` calls on j columns when the problem has
+    one, each in the order ``bu`` made them; levels 1 to n, one per raise.
     """
     levels = collections.defaultdict(list)
 
@@ -88,7 +89,18 @@ def bu_levels(n: int, problem, xs) -> tuple[list, object]:
         levels[len(ys)].append(problem.combine(ys))
         return levels[len(ys)][-1]
 
-    value = bu(n, replace(problem, base=recording_base, combine=recording_combine), xs)
+    def recording_combine_level(columns):
+        answers = problem.combine_level(columns)
+        levels[len(columns)].extend(answers)
+        return answers
+
+    recording = replace(
+        problem,
+        base=recording_base,
+        combine=recording_combine,
+        combine_level=recording_combine_level if problem.combine_level else None,
+    )
+    value = bu(n, recording, xs)
     return [levels[k] for k in range(1, n + 1)], value
 
 

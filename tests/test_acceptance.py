@@ -83,7 +83,7 @@ def test_published_example_values():
 
 def test_level_upgrade_law_sweep():
     with criterion("level-upgrade-law", budget_s=10.0) as box:
-        for law in ("upgrade-level", "up-flat"):
+        for law in ("upgrade-level", "up-flat", "combine-level[modsum]"):
             cases = laws.replay(law, 8)
             assert cases == 28, law  # (n - 1) levels for each n in 2..8
             box["cases"] += cases
@@ -148,6 +148,11 @@ def test_cost_split_matches_the_closed_forms():
             if n == 4:
                 assert td_stats.g_calls == 86
                 assert bu_stats.g_calls == 26
+            box["cases"] += 1
+        for n in range(0, 14):  # modsum raises its levels through combine_level
+            _, bu_stats = run_with_stats(Algorithm.BOTTOM_UP, n, MODSUM, example_input(MODSUM, n + 1))
+            assert bu_stats.g_calls == 2 ** (n + 1) - n - 2, n
+            assert bu_stats.peak_level_tips == math.comb(n + 1, (n + 1) // 2), n
             box["cases"] += 1
 
 

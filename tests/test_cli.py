@@ -5,13 +5,14 @@ from __future__ import annotations
 import json
 import re
 from array import array
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from helpers import bu_g_calls, prefix, td_g_calls
 from sublists import TRACE, Node, ch, map_tree, solve, subs
-from sublists import cli, combinatorics, encode_tree, level_engine, solver
+from sublists import cli, combinatorics, encode_tree, instances, level_engine, solver
 from sublists.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -168,6 +169,7 @@ def test_verify_passes_and_reports_sorted_law_counts(capsys):
     names = [line.split()[1].rstrip(":") for line in lines]
     assert names == sorted(names)
     assert names == [
+        "combine-level[modsum]",
         "pascal-spine",
         "shape-advance",
         "singleton-collapse",
@@ -179,6 +181,18 @@ def test_verify_passes_and_reports_sorted_law_counts(capsys):
         "upgrade-tips",
     ]
     assert "all laws passed" in out
+
+
+def test_verify_catches_a_broken_combine_level(capsys, monkeypatch):
+    modsum = instances.MODSUM
+
+    def reversed_weights(columns):
+        return modsum.combine_level(columns[::-1])
+
+    monkeypatch.setattr(instances, "MODSUM", replace(modsum, combine_level=reversed_weights))
+    code, out, _ = run_cli(capsys, "verify", "--max-len", "4")
+    assert code == 1
+    assert out.startswith("law combine-level[modsum]: counterexample")
 
 
 def test_verify_json_is_one_object(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 from math import comb, factorial
 
@@ -152,10 +153,33 @@ def test_modsum_values_stay_below_the_modulus():
         seen.extend(ys)
         return MODSUM.combine(ys)
 
-    recording = replace(MODSUM, combine=recording_combine)
+    def recording_combine_level(columns):
+        columns = [list(col) for col in columns]
+        for col in columns:
+            seen.extend(col)
+        return MODSUM.combine_level(columns)
+
+    recording = replace(MODSUM, combine=recording_combine, combine_level=recording_combine_level)
     result = bu(11, recording, list(range(1, 13)))
     assert result < MODULUS
-    assert seen and all(0 <= v < MODULUS for v in seen)
+    # C(12, j) combines on j answers each, for j = 2..12
+    assert len(seen) == sum(comb(12, j) * j for j in range(2, 13))
+    assert all(0 <= v < MODULUS for v in seen)
+
+
+@pytest.mark.parametrize("length", [12, 13, 16])
+def test_modsum_column_path_crosses_the_block_boundary(length):
+    # level 6 of 12 elements has C(12, 6) = 924 rows, the first level over one 512-row block
+    rng = random.Random(length)
+    xs = [rng.randint(-(10**6), 10**6) for _ in range(length)]
+    rows_only = replace(MODSUM, combine_level=None)
+    value = bu(length - 1, MODSUM, xs)
+    assert value == bu(length - 1, rows_only, xs)
+    if length == 12:
+        assert value == memo_solve(MODSUM, xs)
+    columns_run = run_with_stats(Algorithm.BOTTOM_UP, length - 1, MODSUM, xs)
+    assert columns_run == run_with_stats(Algorithm.BOTTOM_UP, length - 1, rows_only, xs)
+    assert columns_run[0] == value
 
 
 def test_order_sensitive_problems_notice_reversal():
