@@ -40,10 +40,11 @@ def _modsum_combine(ys: list[int]) -> int:
 
 
 def _modsum_combine_level(columns: list[Iterable[int]]) -> list[int]:
-    # column i holds every row's i-th answer: weight whole columns and add them up
-    acc = list(columns[0])
+    # column i holds every row's i-th answer: weight the columns and add them up lazily,
+    # so the answers are the only list built
+    acc = iter(columns[0])
     for i, col in enumerate(columns[1:], start=2):
-        acc = list(map(add, acc, map(mul, col, repeat(i))))
+        acc = map(add, acc, map(mul, col, repeat(i)))
     return [(1 + a) % MODULUS for a in acc]
 
 

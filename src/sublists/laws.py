@@ -7,7 +7,7 @@ one law, counts its cases and raises ``Counterexample`` at the first case
 whose sides differ. ``sublists verify`` prints what ``replay_all`` returns,
 and the acceptance tests replay the same registry.
 
-Laws reach ``level_engine.up``, ``level_engine.gather_plan``, ``solver.td``
+Laws reach ``level_engine.up``, ``gather_plan`` and ``gather``, ``solver.td``
 and ``solver.bu`` through their modules rather than binding them at import
 time, so a replacement patched into one of them is exactly what gets checked.
 """
@@ -65,7 +65,7 @@ def gathered_tips(max_len: int) -> Iterator[Case]:
     for n, xs in _prefixes(max_len):
         for k in range(1, n):
             t, plan = comb.ch(k, xs), level_engine.gather_plan(n)[k - 1]
-            lhs = [list(row) for row in zip(*[map(tree.tips(t).__getitem__, plan)] * (k + 1))]
+            lhs = [list(row) for row in zip(*level_engine.gather(tree.tips(t), plan, k + 1))]
             yield {"input": xs, "k": k}, lhs, tree.tips(level_engine.up(t))
 
 
@@ -116,8 +116,8 @@ def combine_level(problem: solver.SublistProblem, max_len: int) -> Iterator[Case
         for k in range(1, n):
             level = [rng.randrange(instances.MODULUS) for _ in range(math.comb(n, k))]
             plan = level_engine.gather_plan(n)[k - 1]
-            rows = zip(*[map(level.__getitem__, plan)] * (k + 1))
-            lhs = problem.combine_level([map(level.__getitem__, plan[i :: k + 1]) for i in range(k + 1)])
+            rows = zip(*level_engine.gather(level, plan, k + 1))
+            lhs = problem.combine_level(level_engine.gather(level, plan, k + 1))
             yield {"input": xs, "k": k}, lhs, [problem.combine(list(row)) for row in rows]
 
 

@@ -21,7 +21,7 @@ from array import array
 from itertools import repeat
 from math import comb
 from operator import add
-from typing import Sequence, TypeVar
+from typing import Iterator, Sequence, TypeVar
 
 from .combinatorics import choose, subs
 from .core_tree import (
@@ -124,6 +124,14 @@ def gather_plan(m: int) -> tuple[memoryview, ...]:
         table = _table = tuple(plans)
     views = (memoryview(plan).toreadonly() for plan in table[1:m])
     return tuple(view[len(view) - (k + 1) * comb(m, k + 1) :] for k, view in enumerate(views, start=1))
+
+
+def gather(level: Sequence[A], plan: Sequence[int], width: int) -> list[Iterator[A]]:
+    """The ``width`` lazy argument columns that ``plan``, row-major, picks out of ``level``.
+
+    Column i holds every row's i-th argument, so zipped, the columns are the rows.
+    """
+    return [map(level.__getitem__, plan[i::width]) for i in range(width)]
 
 
 def _typecode(m: int) -> str:

@@ -14,9 +14,7 @@ suite and by ``sublists verify``).
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, Generic, Iterable, Sequence, TypeVar
 
 from . import level_engine
@@ -43,14 +41,15 @@ class SublistProblem(Generic[X, Y]):
     ``input_kind`` tells the CLI how to parse and generate inputs
     ("chars" for character strings, "ints" for comma-separated integers).
 
-    ``combine_level``, when given, is ``combine`` for a block of rows at
-    once: it receives the rows' argument columns (column i holds every
-    row's i-th answer), equal-length iterables each consumed once, and
-    returns the rows' answers in order. It must equal
+    ``combine_level``, when given, is ``combine`` for a whole level at
+    once: it receives the level's argument columns (column i holds every
+    row's i-th answer), equal-length lazy iterables each consumed once,
+    and returns the rows' answers in order. On an m-element input a level
+    can hold C(m, m // 2) rows, so it should consume the columns lazily and
+    build only the list of answers. It must equal
     ``list(map(combine, rows))``; ``bu`` uses it in place of ``combine``,
-    while ``td`` uses only ``combine``, which stays the definition.
-    ``replace(problem, combine=...)`` keeps the old ``combine_level``, so
-    clear or replace it in the same call.
+    while ``td`` uses only ``combine``, which stays the definition. ``replace(problem, combine=...)`` keeps the old
+    ``combine_level``, so clear or replace it in the same call.
     """
 
     name: str
@@ -77,7 +76,9 @@ def td(n: int, problem: SublistProblem[X, Y], xs: Sequence[X]) -> Y:
     """Reference evaluator: index n answers sequences of length n + 1."""
     if len(xs) != 1 + n:
         raise LengthMismatch(f"index {n} expects length {1 + n}, got {len(xs)}")
-    if n == 0:
+    if n <= 0:
+        if n < 0:
+            raise EmptyInput("cannot solve an empty input")
         return problem.base(extract_singleton(xs))
     return problem.combine([td(n - 1, problem, ys) for ys in subs(xs)])
 
@@ -91,18 +92,16 @@ def td_prime(n: int, combine: Callable[[list[Y]], Y], ys: Sequence[Y]) -> Y:
     """
     if len(ys) != 1 + n:
         raise LengthMismatch(f"index {n} expects length {1 + n}, got {len(ys)}")
-    if n == 0:
+    if n <= 0:
+        if n < 0:
+            raise EmptyInput("cannot solve an empty input")
         return extract_singleton(ys)
     return combine([td_prime(n - 1, combine, zs) for zs in subs(ys)])
 
 
-# rows per combine_level call: whole levels would hold several levels of fresh answers at once
-_BLOCK = 512
-
-
-def _combine_rows(combine: Callable[[list[Y]], Y], columns: list[Iterable[Y]]) -> list[Y]:
-    """The row path: one ``combine`` call, on a fresh list, per row of the columns."""
-    return list(map(combine, map(list, zip(*columns))))
+def _level_combine(problem: SublistProblem[X, Y]) -> Callable[[list[Iterable[Y]]], list[Y]]:
+    """``combine_level``, or else the row path: one ``combine`` call, on a fresh list, per row."""
+    return problem.combine_level or (lambda columns: list(map(problem.combine, map(list, zip(*columns)))))
 
 
 def bu(n: int, problem: SublistProblem[X, Y], xs: Sequence[X]) -> Y:
@@ -112,22 +111,20 @@ def bu(n: int, problem: SublistProblem[X, Y], xs: Sequence[X]) -> Y:
     ``choose`` order; the seed level applies ``base`` to every element.
     Then n times the level is gathered by its ``level_engine.gather_plan``
     (``up`` compiled to positions counted from the level's end, views of one
-    shared table; the tree ``up`` is its specification) and combined, until
-    one answer, for ``xs`` itself, is left. A level is raised ``_BLOCK`` rows
-    at a time: the block's k + 1 argument columns go to ``combine_level``
-    when the problem has one, and otherwise every row goes to ``combine``.
-    Either way every subsequence of length j gets exactly one answer, from
-    j answers.
+    shared table; the tree ``up`` is its specification) into k + 1 lazy
+    argument columns and combined, until one answer, for ``xs`` itself, is
+    left. The columns go to ``combine_level`` when the problem has one, and
+    otherwise every row goes to ``combine``. Either way every subsequence of
+    length j gets exactly one answer, from j answers.
     """
     if len(xs) != 1 + n:
         raise LengthMismatch(f"index {n} expects length {1 + n}, got {len(xs)}")
-    combine_level = problem.combine_level or partial(_combine_rows, problem.combine)
+    if n < 0:
+        raise EmptyInput("cannot solve an empty input")
+    combine_level = _level_combine(problem)
     level = [problem.base(x) for x in xs]
     for k, plan in enumerate(level_engine.gather_plan(n + 1), start=1):
-        raised: list[Y] = []
-        for lo in range(0, len(plan), _BLOCK * (k + 1)):
-            block = plan[lo : lo + _BLOCK * (k + 1)]
-            raised.extend(combine_level([map(level.__getitem__, block[i :: k + 1]) for i in range(k + 1)]))
+        raised = combine_level(level_engine.gather(level, plan, k + 1))
         # a list frees its items last to first; reversed, the spent answers go in the order
         # they were made, so the allocator merges them and gives the memory back
         level.reverse()
@@ -141,12 +138,11 @@ def run_with_stats(
 ) -> tuple[Y, RunStats]:
     """Evaluate like td/bu and report call counts alongside the value.
 
-    Counting wraps ``base``, ``combine`` and ``combine_level`` only; the
-    algorithms run unchanged, so the value is identical to the bare
-    evaluators'. The bottom-up level sizes are read from the calls: the
-    seed level has one tip per ``base`` call, and level j one tip per
-    ``combine`` call on j answers, or per answer of a ``combine_level``
-    call on j columns.
+    Counting wraps ``base`` and, for td, ``combine`` or, for bu, its level
+    combine, called once per level; the algorithms run unchanged, so the
+    value is identical to the bare evaluators'. The bottom-up level sizes are read
+    from the calls: the seed level has one tip per ``base`` call, and every
+    other level one tip per answer of its level combine.
     """
     stats = RunStats()
 
@@ -163,26 +159,17 @@ def run_with_stats(
         value = td(n, replace(problem, base=counted_base, combine=counted_combine), xs)
         return value, stats
 
-    calls_by_length: Counter[int] = Counter()
-
-    def counted_level_combine(ys):
-        calls_by_length[len(ys)] += 1
-        return problem.combine(ys)
+    level_sizes: list[int] = []
+    combine_level = _level_combine(problem)
 
     def counted_combine_level(columns):
-        answers = problem.combine_level(columns)
-        calls_by_length[len(columns)] += len(answers)
+        answers = combine_level(columns)
+        level_sizes.append(len(answers))
         return answers
 
-    counted = replace(
-        problem,
-        base=counted_base,
-        combine=counted_level_combine,
-        combine_level=counted_combine_level if problem.combine_level else None,
-    )
-    value = bu(n, counted, xs)
-    stats.g_calls = calls_by_length.total()
-    stats.peak_level_tips = max([stats.f_calls, *calls_by_length.values()])
+    value = bu(n, replace(problem, base=counted_base, combine_level=counted_combine_level), xs)
+    stats.g_calls = sum(level_sizes)
+    stats.peak_level_tips = max([stats.f_calls, *level_sizes])
     return value, stats
 
 
@@ -192,8 +179,6 @@ def solve(
     algo: Algorithm = Algorithm.BOTTOM_UP,
 ) -> Y:
     """Answer ``xs`` with the requested algorithm; EmptyInput if empty."""
-    if len(xs) == 0:
-        raise EmptyInput("cannot solve an empty input")
     n = len(xs) - 1
     if algo is Algorithm.TOP_DOWN:
         return td(n, problem, xs)

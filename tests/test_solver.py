@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from dataclasses import replace
+from functools import partial
 from math import comb, factorial
 
 import pytest
@@ -169,7 +171,8 @@ def test_modsum_values_stay_below_the_modulus():
 
 @pytest.mark.parametrize("length", [12, 13, 16])
 def test_modsum_column_path_crosses_the_block_boundary(length):
-    # level 6 of 12 elements has C(12, 6) = 924 rows, the first level over one 512-row block
+    # the widest levels, C(12, 6) = 924 up to C(16, 8) = 12,870 rows, are out of the reach of
+    # `verify`, whose longest input, 10 elements, raises at most C(10, 5) = 252 rows
     rng = random.Random(length)
     xs = [rng.randint(-(10**6), 10**6) for _ in range(length)]
     rows_only = replace(MODSUM, combine_level=None)
@@ -180,6 +183,33 @@ def test_modsum_column_path_crosses_the_block_boundary(length):
     columns_run = run_with_stats(Algorithm.BOTTOM_UP, length - 1, MODSUM, xs)
     assert columns_run == run_with_stats(Algorithm.BOTTOM_UP, length - 1, rows_only, xs)
     assert columns_run[0] == value
+
+
+def test_modsum_level_combine_builds_no_column_lists():
+    # a combine_level that builds a list per column peaks about 1.5x over the row path here
+    rng = random.Random(16)
+    xs = [rng.randint(-(10**6), 10**6) for _ in range(16)]
+    level_engine.gather_plan(16)  # warm: neither peak should count building the plans
+
+    def peak(problem):
+        tracemalloc.start()
+        try:
+            bu(15, problem, xs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(MODSUM) <= 1.02 * peak(replace(MODSUM, combine_level=None))
+
+
+def test_an_empty_input_is_refused_by_every_evaluator():
+    for problem in builtin_problems():
+        xs = example_input(problem, 0)
+        for evaluate in [td, bu, *(partial(run_with_stats, algo) for algo in Algorithm)]:
+            with pytest.raises(EmptyInput):
+                evaluate(-1, problem, xs)
+        with pytest.raises(EmptyInput):
+            td_prime(-1, problem.combine, [])
 
 
 def test_order_sensitive_problems_notice_reversal():
