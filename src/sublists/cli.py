@@ -68,11 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def trace_answer_length(m: int) -> int:
-    """Characters in the ``trace`` answer on m elements: L(1) = 1, L(m) = m * L(m - 1) + 2."""
-    return 1 if m <= 1 else m * trace_answer_length(m - 1) + 2
-
-
 def _usage(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -93,7 +88,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.algo != "bu" and len(xs) > TD_MAX_INPUT:
         return _usage(f"input length {len(xs)} exceeds the td limit of {TD_MAX_INPUT}")
     if problem is instances.TRACE and len(xs) > TRACE_MAX_INPUT:
-        size = trace_answer_length(len(xs))
+        size = instances.trace_answer_length(len(xs))
         return _usage(f"input length {len(xs)} exceeds the trace limit of {TRACE_MAX_INPUT}: "
                       f"its answer would hold {size:,} characters")
 

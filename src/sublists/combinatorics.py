@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Sequence, TypeVar
 
-from .core_tree import BinomialTree, Node, Tip, count_tips, map_tree
+from .core_tree import BinomialTree, Node, Tip, map_tree, tips
 from .errors import OutOfRange
 
 S = TypeVar("S", bound=Sequence)
@@ -83,8 +83,8 @@ def check_shape(t: BinomialTree, idx: tuple[int, int]) -> bool:
 
 def spine_sizes(t: BinomialTree) -> list[int]:
     """Tip counts along the right spine: t, t.right, ... down to a tip."""
-    sizes = [count_tips(t)]
+    sizes = [len(tips(t))]
     while isinstance(t, Node):
         t = t.right
-        sizes.append(count_tips(t))
+        sizes.append(len(tips(t)))
     return sizes

@@ -99,13 +99,6 @@ def tips(t: BinomialTree[A]) -> list[A]:
     return tips(t.left) + tips(t.right)
 
 
-def count_tips(t: BinomialTree[A]) -> int:
-    """Number of tips of ``t``; cheaper than ``len(tips(t))``."""
-    if isinstance(t, Tip):
-        return 1
-    return count_tips(t.left) + count_tips(t.right)
-
-
 def _value_to_doc(v: Any) -> Any:
     if isinstance(v, bool):
         raise TypeError("boolean tip values have no document form")

@@ -30,6 +30,11 @@ def _trace_combine(ys: list[str]) -> str:
     return "".join(["(", *ys, ")"])
 
 
+def trace_answer_length(m: int) -> int:
+    """Characters in the ``trace`` answer on m elements: L(1) = 1, L(m) = m * L(m - 1) + 2."""
+    return 1 if m <= 1 else m * trace_answer_length(m - 1) + 2
+
+
 def _modsum_base(x: int) -> int:
     return x % MODULUS
 

@@ -18,7 +18,7 @@ MalformedLevel naming the clause that failed.
 from __future__ import annotations
 
 from array import array
-from itertools import repeat
+from itertools import chain, repeat
 from math import comb
 from operator import add
 from typing import Iterator, Sequence, TypeVar
@@ -99,9 +99,9 @@ def gather_plan(m: int) -> tuple[memoryview, ...]:
     longest length M asked for so far, stays resident (M * 2**(M-1)
     positions: 480 KiB at 15, 40 MiB at 20); a shorter length gets views of
     its tails and builds nothing. A longer one grows it a length at a time
-    by ``up``'s split on the first position: plan (k, M+1) is the rows of
-    (k-1, M), row j shifted by -C(M, k) and followed by j - C(M, k), then
-    plan (k, M) as it stands. Each grown table is published in one assignment.
+    by ``up``'s clause 4, node(zip snoc (up t) u, up u), on positions: plan
+    (k, M+1) is plan (k-1, M) shifted by -C(M, k), row j snoc'd with u's tip
+    j - C(M, k), then plan (k, M). Each grown table is published in one assignment.
     """
     global _table
     table = _table
@@ -112,15 +112,9 @@ def gather_plan(m: int) -> tuple[memoryview, ...]:
         plans = [array(tc, [-1]) * mp]  # k = 0: every singleton gathers the one answer of level 0
         for k in range(1, mp):
             keep = comb(mp - 1, k)  # rows that keep the first element, from (k-1, m'-1)
-            head = (k + 1) * keep
-            kept = array(tc, map(add, table[k - 1], repeat(-keep)))
-            plan = array(tc, [0]) * ((k + 1) * comb(mp, k + 1))
-            for i in range(k):
-                plan[i : head : k + 1] = kept[i::k]
-            plan[k : head : k + 1] = array(tc, range(-keep, 0))
-            if k < mp - 1:  # (k, m'-1) has rows only while k < m'-1
-                plan[head:] = table[k]
-            plans.append(plan)
+            kept = map(add, table[k - 1], repeat(-keep))
+            plan = array(tc, chain.from_iterable(zip(*[kept] * k, range(-keep, 0))))
+            plans.append(plan + table[k] if k < mp - 1 else plan)  # (m'-1, m'-1) has no rows
         table = _table = tuple(plans)
     views = (memoryview(plan).toreadonly() for plan in table[1:m])
     return tuple(view[len(view) - (k + 1) * comb(m, k + 1) :] for k, view in enumerate(views, start=1))

@@ -46,10 +46,10 @@ class SublistProblem(Generic[X, Y]):
     row's i-th answer), equal-length lazy iterables each consumed once,
     and returns the rows' answers in order. On an m-element input a level
     can hold C(m, m // 2) rows, so it should consume the columns lazily and
-    build only the list of answers. It must equal
-    ``list(map(combine, rows))``; ``bu`` uses it in place of ``combine``,
-    while ``td`` uses only ``combine``, which stays the definition. ``replace(problem, combine=...)`` keeps the old
-    ``combine_level``, so clear or replace it in the same call.
+    build only the list of answers. It must equal ``list(map(combine, rows))``;
+    ``bu`` uses it in place of ``combine``, while ``td`` uses only ``combine``,
+    which stays the definition. ``replace(problem, combine=...)`` keeps the
+    old ``combine_level``, so clear or replace it in the same call.
     """
 
     name: str
@@ -90,13 +90,7 @@ def td_prime(n: int, combine: Callable[[list[Y]], Y], ys: Sequence[Y]) -> Y:
     the paper's law td = td' . map base; td_prime exists to state that
     law in the test suite and is not exported from the package.
     """
-    if len(ys) != 1 + n:
-        raise LengthMismatch(f"index {n} expects length {1 + n}, got {len(ys)}")
-    if n <= 0:
-        if n < 0:
-            raise EmptyInput("cannot solve an empty input")
-        return extract_singleton(ys)
-    return combine([td_prime(n - 1, combine, zs) for zs in subs(ys)])
+    return td(n, SublistProblem("td'", lambda y: y, combine), ys)
 
 
 def _level_combine(problem: SublistProblem[X, Y]) -> Callable[[list[Iterable[Y]]], list[Y]]:

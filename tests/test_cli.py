@@ -12,7 +12,7 @@ import pytest
 
 from helpers import bu_g_calls, prefix, td_g_calls
 from sublists import TRACE, Node, ch, map_tree, solve, subs
-from sublists import cli, combinatorics, encode_tree, instances, level_engine, solver
+from sublists import combinatorics, encode_tree, instances, level_engine, solver
 from sublists.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -104,9 +104,9 @@ def test_run_refuses_long_trace_inputs_before_solving(capsys, monkeypatch):
 
 
 def test_trace_answer_length_follows_the_recurrence():
-    assert cli.trace_answer_length(11) == 97_259_824
+    assert instances.trace_answer_length(11) == 97_259_824
     for m in range(1, 9):
-        assert cli.trace_answer_length(m) == len(solve(TRACE, prefix(m))), m
+        assert instances.trace_answer_length(m) == len(solve(TRACE, prefix(m))), m
 
 
 def test_a_broken_gather_plan_is_caught(capsys, monkeypatch):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import sys
 import threading
 import tracemalloc
+from array import array
 from math import comb
 
 import pytest
@@ -245,6 +246,18 @@ def test_gather_plan_positions_fit_their_typecode(monkeypatch):
     # the table holds m * 2**(m-1) positions, 480 KiB at 15 elements; bu never gathers the k = 0 plan
     assert sum(len(plan) for plan in level_engine._table) == 15 * 2**14 == 245_760
     assert sum(plan.nbytes for plan in plans) == 491_490 <= 480 * 1024
+
+
+def test_the_table_widens_to_32_bits_when_it_grows_to_18(monkeypatch):
+    # the one growth that converts the resident table, from 16- to 32-bit positions
+    monkeypatch.setattr(level_engine, "_table", ())
+    before = [array("i", plan) for plan in level_engine.gather_plan(17)]
+    plans = level_engine.gather_plan(18)
+    assert {plan.typecode for plan in level_engine._table} == {"i"}
+    assert [array("i", plan) for plan in level_engine.gather_plan(17)] == before
+    xs = prefix(18)
+    for k in (1, 2, 16, 17):
+        assert gather(tips(ch(k, xs)), plans[k - 1], k + 1) == tips(up(ch(k, xs))), k
 
 
 @given(d=st.data(), kn=shape_indices)

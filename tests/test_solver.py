@@ -170,7 +170,7 @@ def test_modsum_values_stay_below_the_modulus():
 
 
 @pytest.mark.parametrize("length", [12, 13, 16])
-def test_modsum_column_path_crosses_the_block_boundary(length):
+def test_modsum_column_path_matches_row_path_and_memo_beyond_verify(length):
     # the widest levels, C(12, 6) = 924 up to C(16, 8) = 12,870 rows, are out of the reach of
     # `verify`, whose longest input, 10 elements, raises at most C(10, 5) = 252 rows
     rng = random.Random(length)
