@@ -23,11 +23,10 @@ def subs(xs: S) -> list[S]:
 
     Ordered so that the sublist missing a later element comes first; the
     tail of ``xs`` (first element deleted) is last. Empty input gives [].
+    Built by direct deletion, without recursion, so any length works; the
+    paper's clause ``subs (x:xs) = map (x:) (subs xs) ++ [xs]`` is its test oracle.
     """
-    if len(xs) == 0:
-        return []
-    head, tail = xs[:1], xs[1:]
-    return [head + ys for ys in subs(tail)] + [tail]
+    return [xs[:i] + xs[i + 1 :] for i in range(len(xs) - 1, -1, -1)]
 
 
 def choose(k: int, xs: S) -> list[S]:

@@ -5,7 +5,8 @@ singletons, and ``combine`` builds the answer for a sequence out of the
 answers for all its immediate sublists (every way of deleting one
 element), received in ``subs`` order. ``td`` evaluates that recurrence
 literally and recomputes shared subproblems; it is the executable
-reference, kept deliberately free of caching. ``bu`` computes each level
+reference, kept deliberately free of caching, and checks the input's
+length once before it recurses. ``bu`` computes each level
 of distinct subsequences exactly once, raising each level by position,
 and always agrees with ``td`` (the equivalence is replayed by the test
 suite and by ``sublists verify``).
@@ -19,7 +20,6 @@ from typing import Callable, Generic, Iterable, Sequence, TypeVar
 
 from . import level_engine
 from .combinatorics import subs
-from .core_tree import extract_singleton
 from .errors import EmptyInput, LengthMismatch
 
 X = TypeVar("X")
@@ -73,14 +73,23 @@ class RunStats:
 
 
 def td(n: int, problem: SublistProblem[X, Y], xs: Sequence[X]) -> Y:
-    """Reference evaluator: index n answers sequences of length n + 1."""
+    """Reference evaluator: index n answers sequences of length n + 1.
+
+    Literal and cache-free, with one length check: every immediate sublist is
+    solved afresh, (n + 1)! ``base`` and c(n) = 1 + (n + 1)·c(n − 1) ``combine`` calls.
+    """
     if len(xs) != 1 + n:
         raise LengthMismatch(f"index {n} expects length {1 + n}, got {len(xs)}")
-    if n <= 0:
-        if n < 0:
-            raise EmptyInput("cannot solve an empty input")
-        return problem.base(extract_singleton(xs))
-    return problem.combine([td(n - 1, problem, ys) for ys in subs(xs)])
+    if n < 0:
+        raise EmptyInput("cannot solve an empty input")
+    return _td(problem.base, problem.combine, xs)
+
+
+def _td(base: Callable[[X], Y], combine: Callable[[list[Y]], Y], xs: Sequence[X]) -> Y:
+    """td below its checks: a singleton is a base case, else combine the sublists' answers."""
+    if len(xs) == 1:
+        return base(xs[0])
+    return combine([_td(base, combine, ys) for ys in subs(xs)])
 
 
 def td_prime(n: int, combine: Callable[[list[Y]], Y], ys: Sequence[Y]) -> Y:

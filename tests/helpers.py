@@ -42,6 +42,15 @@ def prefix(n: int) -> str:
     return ascii_lowercase[:n]
 
 
+def paper_subs(xs):
+    """The paper's clause, ``subs (x:xs) = map (x:) (subs xs) ++ [xs]``,
+    recursing once per element (the library deletes directly)."""
+    if len(xs) == 0:
+        return []
+    head, tail = xs[:1], xs[1:]
+    return [head + ys for ys in paper_subs(tail)] + [tail]
+
+
 def deletion_subs(t: tuple) -> list[tuple]:
     """Immediate sublists by direct deletion, later positions first."""
     return [t[: i] + t[i + 1 :] for i in range(len(t) - 1, -1, -1)]

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import prefix, tree_of_shape
+from helpers import paper_subs, prefix, tree_of_shape
 from sublists import (
     Node,
     OutOfRange,
@@ -35,9 +35,19 @@ def test_subs_worked_examples():
 
 
 @given(xs=st.text(alphabet="abcdef", max_size=8))
-def test_subs_matches_direct_deletion(xs):
-    # second route: delete position i directly, later positions first
-    assert subs(xs) == [xs[:i] + xs[i + 1 :] for i in range(len(xs) - 1, -1, -1)]
+def test_subs_matches_the_papers_clause(xs):
+    assert subs(xs) == paper_subs(xs)
+    assert subs(list(xs)) == paper_subs(list(xs))
+    assert subs(tuple(xs)) == paper_subs(tuple(xs))
+
+
+def test_subs_of_a_long_input_keeps_its_kind():
+    # one frame per element would overflow the interpreter's stack here
+    long = subs("x" * 1500)
+    assert len(long) == 1500
+    assert all(ys == "x" * 1499 for ys in long)
+    assert subs(list(range(1500)))[-1] == list(range(1, 1500))
+    assert subs(tuple(range(1500)))[0] == tuple(range(1499))
 
 
 def test_subs_is_the_penultimate_choose():

@@ -43,6 +43,26 @@ def test_td_modsum_example():
     assert td(2, MODSUM, [1, 2, 3]) == 50
 
 
+def test_bare_td_recomputes_every_subproblem():
+    # td itself, not run_with_stats: no cache may hide a call
+    for n in range(0, 8):
+        calls = {"base": 0, "combine": 0}
+
+        def base(x):
+            calls["base"] += 1
+            return x
+
+        def combine(ys):
+            calls["combine"] += 1
+            return "".join(ys)
+
+        td(n, replace(TRACE, base=base, combine=combine), prefix(n + 1))
+        assert calls == {"base": factorial(n + 1), "combine": td_g_calls(n)}
+    seen = []
+    td(2, replace(TRACE, base=lambda x: seen.append(x) or x), "abc")
+    assert seen == list("abacbc")
+
+
 def test_length_mismatch_is_rejected():
     with pytest.raises(LengthMismatch):
         td(2, TRACE, "ab")
