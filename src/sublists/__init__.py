@@ -18,7 +18,6 @@ from .core_tree import (
     encode_tree,
     map_tree,
     tips,
-    tree_to_doc,
     un_tip,
     zip_tree_with,
 )
@@ -27,7 +26,6 @@ from .errors import (
     LengthMismatch,
     MalformedLevel,
     NotATip,
-    NotSingleton,
     OutOfRange,
     ShapeMismatch,
     SublistsError,
@@ -66,7 +64,6 @@ __all__ = [
     "MalformedLevel",
     "Node",
     "NotATip",
-    "NotSingleton",
     "OutOfRange",
     "RunStats",
     "ShapeMismatch",
@@ -90,7 +87,6 @@ __all__ = [
     "subs",
     "td",
     "tips",
-    "tree_to_doc",
     "un_tip",
     "up",
     "upgrade_oracle",

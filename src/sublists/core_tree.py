@@ -99,23 +99,19 @@ def tips(t: BinomialTree[A]) -> list[A]:
     return tips(t.left) + tips(t.right)
 
 
-def _value_to_doc(v: Any) -> Any:
-    if isinstance(v, bool):
-        raise TypeError("boolean tip values have no document form")
-    if isinstance(v, (str, int, float)):
-        return v
-    if isinstance(v, (list, tuple)):
-        return [_value_to_doc(x) for x in v]
-    raise TypeError(f"tip value {v!r} has no document form")
-
-
-def tree_to_doc(t: BinomialTree[Any]) -> dict[str, Any]:
-    """Plain-dict document form of ``t`` (see the module docstring)."""
-    if isinstance(t, Tip):
-        return {"tip": _value_to_doc(t.value)}
-    return {"node": [tree_to_doc(t.left), tree_to_doc(t.right)]}
+def _to_doc(x: Any) -> Any:
+    """Document form of a tree, or of a tip value inside one (see the module docstring)."""
+    if isinstance(x, Tip):
+        return {"tip": _to_doc(x.value)}
+    if isinstance(x, Node):
+        return {"node": [_to_doc(x.left), _to_doc(x.right)]}
+    if isinstance(x, (str, int, float)) and not isinstance(x, bool):
+        return x
+    if isinstance(x, (list, tuple)):
+        return [_to_doc(v) for v in x]
+    raise TypeError(f"{x!r} has no document form")
 
 
 def encode_tree(t: BinomialTree[Any]) -> str:
     """Canonical JSON text for ``t``: compact separators, no whitespace."""
-    return json.dumps(tree_to_doc(t), separators=(",", ":"))
+    return json.dumps(_to_doc(t), separators=(",", ":"))

@@ -72,16 +72,21 @@ class RunStats:
     peak_level_tips: int = 0
 
 
+def _check_index(n: int, xs: Sequence) -> None:
+    """Index n answers sequences of length n + 1, and an empty sequence has no answer."""
+    if len(xs) != 1 + n:
+        raise LengthMismatch(f"index {n} expects length {1 + n}, got {len(xs)}")
+    if n < 0:
+        raise EmptyInput("cannot solve an empty input")
+
+
 def td(n: int, problem: SublistProblem[X, Y], xs: Sequence[X]) -> Y:
     """Reference evaluator: index n answers sequences of length n + 1.
 
     Literal and cache-free, with one length check: every immediate sublist is
     solved afresh, (n + 1)! ``base`` and c(n) = 1 + (n + 1)·c(n − 1) ``combine`` calls.
     """
-    if len(xs) != 1 + n:
-        raise LengthMismatch(f"index {n} expects length {1 + n}, got {len(xs)}")
-    if n < 0:
-        raise EmptyInput("cannot solve an empty input")
+    _check_index(n, xs)
     return _td(problem.base, problem.combine, xs)
 
 
@@ -90,16 +95,6 @@ def _td(base: Callable[[X], Y], combine: Callable[[list[Y]], Y], xs: Sequence[X]
     if len(xs) == 1:
         return base(xs[0])
     return combine([_td(base, combine, ys) for ys in subs(xs)])
-
-
-def td_prime(n: int, combine: Callable[[list[Y]], Y], ys: Sequence[Y]) -> Y:
-    """td with the base map stripped off: works on already-seeded values.
-
-    td(n, p, xs) == td_prime(n, p.combine, [p.base(x) for x in xs]) is
-    the paper's law td = td' . map base; td_prime exists to state that
-    law in the test suite and is not exported from the package.
-    """
-    return td(n, SublistProblem("td'", lambda y: y, combine), ys)
 
 
 def _level_combine(problem: SublistProblem[X, Y]) -> Callable[[list[Iterable[Y]]], list[Y]]:
@@ -120,10 +115,7 @@ def bu(n: int, problem: SublistProblem[X, Y], xs: Sequence[X]) -> Y:
     otherwise every row goes to ``combine``. Either way every subsequence of
     length j gets exactly one answer, from j answers.
     """
-    if len(xs) != 1 + n:
-        raise LengthMismatch(f"index {n} expects length {1 + n}, got {len(xs)}")
-    if n < 0:
-        raise EmptyInput("cannot solve an empty input")
+    _check_index(n, xs)
     combine_level = _level_combine(problem)
     level = [problem.base(x) for x in xs]
     for k, plan in enumerate(level_engine.gather_plan(n + 1), start=1):
@@ -137,7 +129,7 @@ def bu(n: int, problem: SublistProblem[X, Y], xs: Sequence[X]) -> Y:
 
 
 def run_with_stats(
-    algo: Algorithm, n: int, problem: SublistProblem[X, Y], xs: Sequence[X]
+    algo: Algorithm | str, n: int, problem: SublistProblem[X, Y], xs: Sequence[X]
 ) -> tuple[Y, RunStats]:
     """Evaluate like td/bu and report call counts alongside the value.
 
@@ -146,7 +138,11 @@ def run_with_stats(
     value is identical to the bare evaluators'. The bottom-up level sizes are read
     from the calls: the seed level has one tip per ``base`` call, and every
     other level one tip per answer of its level combine.
+
+    ``algo`` is an ``Algorithm`` or its value, ``"td"`` or ``"bu"``; anything
+    else raises ValueError.
     """
+    algo = Algorithm(algo)
     stats = RunStats()
 
     def counted_base(x):
@@ -179,10 +175,10 @@ def run_with_stats(
 def solve(
     problem: SublistProblem[X, Y],
     xs: Sequence[X],
-    algo: Algorithm = Algorithm.BOTTOM_UP,
+    algo: Algorithm | str = Algorithm.BOTTOM_UP,
 ) -> Y:
-    """Answer ``xs`` with the requested algorithm; EmptyInput if empty."""
+    """Answer ``xs`` with the requested algorithm, as in ``run_with_stats``; EmptyInput if empty."""
     n = len(xs) - 1
-    if algo is Algorithm.TOP_DOWN:
+    if Algorithm(algo) is Algorithm.TOP_DOWN:
         return td(n, problem, xs)
     return bu(n, problem, xs)

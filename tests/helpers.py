@@ -1,41 +1,18 @@
-"""Shared test helpers: independent oracles, shape builders, golden files.
+"""Shared test helpers: independent oracles and shape builders.
 
 The oracles reuse none of the library's recursive definitions; the point
 is to have second routes to the same answers.
-
-The golden cases exist only as files, ``golden/<problem>/<input>.jsonl``
-at the repository root, one canonical JSON line each (list inputs name
-their file with dash-joined tokens: ``1-2-3.jsonl``). Cases that exercise
-an operation rather than a registered problem encode the operation and
-its count parameter in the problem slot: ``subs``, ``choose-3``,
-``spine-2``. An installed package has no ``golden/`` directory, so only
-the tests read them.
 """
 
 from __future__ import annotations
 
 import collections
 import functools
-import json
 import math
 from dataclasses import replace
-from pathlib import Path
 from string import ascii_lowercase
 
-from sublists import (
-    Algorithm,
-    Node,
-    Tip,
-    bu,
-    ch,
-    choose,
-    get_problem,
-    solve,
-    spine_sizes,
-    subs,
-)
-
-GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
+from sublists import Node, Tip, bu
 
 
 def prefix(n: int) -> str:
@@ -139,28 +116,3 @@ def doc_to_tree(doc):
         return Tip(doc["tip"])
     left, right = doc["node"]
     return Node(doc_to_tree(left), doc_to_tree(right))
-
-
-def golden_cases() -> list[tuple[Path, dict]]:
-    """Every golden case as (file, decoded line), in file-path order."""
-    return [(path, json.loads(path.read_text())) for path in sorted(GOLDEN_DIR.glob("*/*.jsonl"))]
-
-
-def evaluate_golden(case: dict):
-    """Compute the value a golden case describes, fresh.
-
-    Solver cases run under every algorithm they name and must agree;
-    operation cases dispatch on the encoded operation name.
-    """
-    name, xs = case["problem"], case["input"]
-    if name == "subs":
-        return subs(xs)
-    if name.startswith("choose-"):
-        return choose(int(name.split("-", 1)[1]), xs)
-    if name.startswith("spine-"):
-        return spine_sizes(ch(int(name.split("-", 1)[1]), xs))
-    algo = case["algorithm"]
-    algos = list(Algorithm) if algo == "both" else [Algorithm(algo)]
-    values = [solve(get_problem(name), xs, algo) for algo in algos]
-    assert all(v == values[0] for v in values), (name, values)
-    return values[0]

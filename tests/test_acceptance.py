@@ -24,7 +24,6 @@ from sublists import (
     MalformedLevel,
     Node,
     NotATip,
-    NotSingleton,
     OutOfRange,
     ShapeMismatch,
     Tip,
@@ -48,6 +47,7 @@ from sublists import (
 from sublists import laws, level_engine, solver
 from sublists.cli import main as cli_main
 from sublists.core_tree import extract_singleton
+from sublists.errors import NotSingleton
 
 SEED = 20260816
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -89,6 +90,7 @@ def test_choose_results_are_ordered_subsequences():
             assert all(len(ys) == k for ys in results)
             assert all(_is_subsequence(ys, xs) for ys in results)
             assert len(set(results)) == len(results)
+            assert results == ["".join(ys) for ys in combinations(xs, k)]
 
 
 def test_ch_worked_examples():

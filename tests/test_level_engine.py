@@ -112,13 +112,13 @@ def test_upgrade_oracle_rejects_impossible_levels():
         upgrade_oracle(3, "abc")
 
 
-def test_step_examples():
+def test_raise_then_combine_examples():
     # one bottom-up step: raise the level, then combine every tip
     assert map_tree(sum, up(Node(Tip(1), Tip(2)))) == Tip(3)
     assert map_tree("".join, up(Node(Tip("a"), Tip("b")))) == Tip("ab")
 
 
-def test_step_advances_a_level_of_solved_values():
+def test_raise_then_combine_advances_a_level_of_solved_values():
     # tips hold answers for level k; one raise-and-combine yields the
     # answers for level k+1, because each new tip combines exactly the
     # right list
@@ -150,7 +150,7 @@ def test_up_rearranges_values_without_looking(d, kn):
 
 @given(d=st.data(), km=st.sampled_from([(k, m) for m in range(2, 10) for k in range(1, m)]))
 @settings(deadline=None)
-def test_up_flat_is_up_on_the_tips(d, km):
+def test_gather_by_plan_is_up_on_the_tips(d, km):
     # naturality on the flat form: the raise moves values by position only,
     # so any values laid out in choose order raise like the tree's tips
     k, m = km

@@ -19,6 +19,7 @@ from sublists import (
     Algorithm,
     EmptyInput,
     LengthMismatch,
+    SublistProblem,
     bu,
     builtin_problems,
     choose,
@@ -28,7 +29,11 @@ from sublists import (
     td,
 )
 from sublists import level_engine
-from sublists.solver import td_prime
+
+
+def td_prime(n, combine, ys):
+    """The paper's td': td with the base map stripped off, on already-seeded values."""
+    return td(n, SublistProblem("td'", lambda y: y, combine), ys)
 
 
 def test_td_trace_examples():
@@ -88,10 +93,12 @@ def test_td_factors_through_td_prime():
 
 def test_both_evaluators_agree_with_each_other_and_with_memoization():
     for problem in builtin_problems():
-        for length in range(1, 8):
-            xs = example_input(problem, length)
-            reference = td(length - 1, problem, xs)
-            assert bu(length - 1, problem, xs) == reference
+        inputs = [example_input(problem, length) for length in range(1, 8)]
+        if problem is MAXMIN:
+            inputs.append([3, 1, 4, 1, 5])  # a repeated element
+        for xs in inputs:
+            reference = td(len(xs) - 1, problem, xs)
+            assert bu(len(xs) - 1, problem, xs) == reference
             assert memo_solve(problem, xs) == reference
 
 
@@ -107,6 +114,17 @@ def test_run_with_stats_returns_the_bare_value():
     for algo in Algorithm:
         value, _ = run_with_stats(algo, 2, TRACE, "abc")
         assert value == "((ab)(ac)(bc))"
+
+
+def test_an_algorithm_may_be_named_by_its_value():
+    for algo in Algorithm:
+        assert run_with_stats(algo.value, 2, TRACE, "abc") == run_with_stats(algo, 2, TRACE, "abc")
+        seen = []
+        solve(replace(TRACE, base=lambda x: seen.append(x) or x), "abc", algo.value)
+        assert len(seen) == (6 if algo is Algorithm.TOP_DOWN else 3), algo
+    for evaluate in [partial(run_with_stats, "nonsense", 2), partial(solve, algo="nonsense")]:
+        with pytest.raises(ValueError):
+            evaluate(TRACE, "abc")
 
 
 def test_g_call_counts_match_the_closed_forms():
