@@ -6,7 +6,9 @@ answers for all its immediate sublists (every way of deleting one
 element), received in ``subs`` order. ``td`` evaluates that recurrence
 literally and recomputes shared subproblems; it is the executable
 reference, kept deliberately free of caching, and checks the input's
-length once before it recurses. ``bu`` computes each level
+length once before it recurses. It answers a two-element sequence in
+one frame, as ``combine`` of its two ``base`` answers, which makes the
+calls of the singleton clause alone in the same order. ``bu`` computes each level
 of distinct subsequences exactly once, raising each level by position,
 and always agrees with ``td`` (the equivalence is replayed by the test
 suite and by ``sublists verify``).
@@ -85,13 +87,19 @@ def td(n: int, problem: SublistProblem[X, Y], xs: Sequence[X]) -> Y:
 
     Literal and cache-free, with one length check: every immediate sublist is
     solved afresh, (n + 1)! ``base`` and c(n) = 1 + (n + 1)·c(n − 1) ``combine`` calls.
+    A two-element sublist is answered in its own frame, ``combine`` of its two
+    ``base`` answers, as ``h [a, b] = g [f a, f b]``: on m = n + 1 ≥ 2 elements that
+    is Σ_{j=2..m} m!/j! frames (28,961 at m = 8, against 69,281 with a frame per
+    singleton) and Σ_{j=3..m} m!/j! ``subs`` calls (8,801 at m = 8).
     """
     _check_index(n, xs)
     return _td(problem.base, problem.combine, xs)
 
 
 def _td(base: Callable[[X], Y], combine: Callable[[list[Y]], Y], xs: Sequence[X]) -> Y:
-    """td below its checks: a singleton is a base case, else combine the sublists' answers."""
+    """td below its checks; ``subs [a, b] = [[a], [b]]``, so a pair is answered in its own frame."""
+    if len(xs) == 2:
+        return combine([base(xs[0]), base(xs[1])])
     if len(xs) == 1:
         return base(xs[0])
     return combine([_td(base, combine, ys) for ys in subs(xs)])

@@ -28,6 +28,28 @@ def paper_subs(xs):
     return [head + ys for ys in paper_subs(tail)] + [tail]
 
 
+def paper_td(problem, xs):
+    """The paper's ``h xs = g (map h (subs xs))`` with only the singleton clause,
+    ``h [x] = f x``, recursing through ``paper_subs``: one frame per sublist."""
+    if len(xs) == 1:
+        return problem.base(xs[0])
+    return problem.combine([paper_td(problem, ys) for ys in paper_subs(xs)])
+
+
+def logging_problem(problem, log: list):
+    """``problem`` with ``base`` and ``combine`` appending their arguments to ``log``."""
+
+    def base(x):
+        log.append(("base", x))
+        return problem.base(x)
+
+    def combine(ys):
+        log.append(("combine", list(ys)))
+        return problem.combine(ys)
+
+    return replace(problem, base=base, combine=combine, combine_level=None)
+
+
 def deletion_subs(t: tuple) -> list[tuple]:
     """Immediate sublists by direct deletion, later positions first."""
     return [t[: i] + t[i + 1 :] for i in range(len(t) - 1, -1, -1)]

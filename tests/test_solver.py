@@ -10,7 +10,16 @@ from math import comb, factorial
 
 import pytest
 
-from helpers import bu_g_calls, bu_levels, gather, memo_solve, prefix, td_g_calls
+from helpers import (
+    bu_g_calls,
+    bu_levels,
+    gather,
+    logging_problem,
+    memo_solve,
+    paper_td,
+    prefix,
+    td_g_calls,
+)
 from sublists import (
     MAXMIN,
     MODSUM,
@@ -28,7 +37,7 @@ from sublists import (
     solve,
     td,
 )
-from sublists import level_engine
+from sublists import level_engine, solver
 
 
 def td_prime(n, combine, ys):
@@ -66,6 +75,44 @@ def test_bare_td_recomputes_every_subproblem():
     seen = []
     td(2, replace(TRACE, base=lambda x: seen.append(x) or x), "abc")
     assert seen == list("abacbc")
+
+
+def test_td_makes_the_papers_calls_in_the_papers_order():
+    # td answers a pair in one frame; paper_td reaches both singletons through paper_subs
+    for problem in builtin_problems():
+        for length in range(1, 8):
+            example = example_input(problem, length)
+            for xs in {type(example): example, list: list(example), tuple: tuple(example)}.values():
+                td_log, paper_log = [], []
+                value = td(length - 1, logging_problem(problem, td_log), xs)
+                assert value == paper_td(logging_problem(problem, paper_log), xs)
+                assert td_log == paper_log, (problem.name, xs)
+
+
+def test_td_calls_subs_only_on_three_or_more_elements(monkeypatch):
+    calls = {"subs": 0, "_td": 0}
+    subs, frame = solver.subs, solver._td
+
+    def counted_subs(xs):
+        calls["subs"] += 1
+        return subs(xs)
+
+    def counted_frame(*args):
+        calls["_td"] += 1
+        return frame(*args)
+
+    monkeypatch.setattr(solver, "subs", counted_subs)
+    monkeypatch.setattr(solver, "_td", counted_frame)
+    for m in range(1, 9):
+        calls.update(subs=0, _td=0)
+        td(m - 1, TRACE, prefix(m))
+        # one frame per sublist of two or more elements (or for a lone singleton), a subs call
+        # per sublist of three or more: m!/j! sublists of j elements
+        assert calls == {
+            "subs": sum(factorial(m) // factorial(j) for j in range(3, m + 1)),
+            "_td": sum(factorial(m) // factorial(j) for j in range(min(m, 2), m + 1)),
+        }
+    assert calls == {"subs": 8_801, "_td": 28_961}
 
 
 def test_length_mismatch_is_rejected():
