@@ -12,7 +12,7 @@ Three problems ship with the package:
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import count, repeat
 from operator import add, mul
 from string import ascii_lowercase
 from typing import Iterable
@@ -41,7 +41,7 @@ def _modsum_base(x: int) -> int:
 
 def _modsum_combine(ys: list[int]) -> int:
     # 1-based position weights keep this order-sensitive
-    return (1 + sum(v * i for i, v in enumerate(ys, start=1))) % MODULUS
+    return (1 + sum(map(mul, ys, count(1)))) % MODULUS
 
 
 def _modsum_combine_level(columns: list[Iterable[int]]) -> list[int]:

@@ -6,9 +6,10 @@ answers for all its immediate sublists (every way of deleting one
 element), received in ``subs`` order. ``td`` evaluates that recurrence
 literally and recomputes shared subproblems; it is the executable
 reference, kept deliberately free of caching, and checks the input's
-length once before it recurses. It answers a two-element sequence in
-one frame, as ``combine`` of its two ``base`` answers, which makes the
-calls of the singleton clause alone in the same order. ``bu`` computes each level
+length once before it recurses. It answers a three-element sequence in
+one frame, as ``combine`` of its three pairs' answers, and a two-element
+one as ``combine`` of its two ``base`` answers; both clauses make the
+calls of the singleton clause alone, in the same order. ``bu`` computes each level
 of distinct subsequences exactly once, raising each level by position,
 and always agrees with ``td`` (the equivalence is replayed by the test
 suite and by ``sublists verify``).
@@ -87,17 +88,28 @@ def td(n: int, problem: SublistProblem[X, Y], xs: Sequence[X]) -> Y:
 
     Literal and cache-free, with one length check: every immediate sublist is
     solved afresh, (n + 1)! ``base`` and c(n) = 1 + (n + 1)·c(n − 1) ``combine`` calls.
-    A two-element sublist is answered in its own frame, ``combine`` of its two
-    ``base`` answers, as ``h [a, b] = g [f a, f b]``: on m = n + 1 ≥ 2 elements that
-    is Σ_{j=2..m} m!/j! frames (28,961 at m = 8, against 69,281 with a frame per
-    singleton) and Σ_{j=3..m} m!/j! ``subs`` calls (8,801 at m = 8).
+    A three-element sublist is answered in its own frame, as
+    ``h [a, b, c] = g [g [f a, f b], g [f a, f c], g [f b, f c]]``, with its calls
+    in that order and no ``base`` answer shared; a two-element input is answered as
+    ``h [a, b] = g [f a, f b]``. On m = n + 1 ≥ 3 elements that is Σ_{j=3..m} m!/j!
+    frames (8,801 at m = 8, against 69,281 with a frame per singleton) and
+    Σ_{j=4..m} m!/j! ``subs`` calls (2,081 at m = 8).
     """
     _check_index(n, xs)
     return _td(problem.base, problem.combine, xs)
 
 
 def _td(base: Callable[[X], Y], combine: Callable[[list[Y]], Y], xs: Sequence[X]) -> Y:
-    """td below its checks; ``subs [a, b] = [[a], [b]]``, so a pair is answered in its own frame."""
+    """td below its checks; ``subs [a, b, c] = [[a, b], [a, c], [b, c]]`` and
+    ``subs [a, b] = [[a], [b]]``, so a triple or a pair is answered in its own frame
+    with the calls of the recursion down to singletons, in their order: on m elements,
+    Σ_{j=min(m, 3)..m} m!/j! frames and Σ_{j=4..m} m!/j! ``subs`` calls.
+    """
+    if len(xs) == 3:
+        a, b, c = xs
+        return combine(
+            [combine([base(a), base(b)]), combine([base(a), base(c)]), combine([base(b), base(c)])]
+        )
     if len(xs) == 2:
         return combine([base(xs[0]), base(xs[1])])
     if len(xs) == 1:
@@ -152,16 +164,17 @@ def run_with_stats(
     """
     algo = Algorithm(algo)
     stats = RunStats()
+    base, combine = problem.base, problem.combine
 
     def counted_base(x):
         stats.f_calls += 1
-        return problem.base(x)
+        return base(x)
 
     if algo is Algorithm.TOP_DOWN:
 
         def counted_combine(ys):
             stats.g_calls += 1
-            return problem.combine(ys)
+            return combine(ys)
 
         value = td(n, replace(problem, base=counted_base, combine=counted_combine), xs)
         return value, stats

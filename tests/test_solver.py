@@ -78,18 +78,19 @@ def test_bare_td_recomputes_every_subproblem():
 
 
 def test_td_makes_the_papers_calls_in_the_papers_order():
-    # td answers a pair in one frame; paper_td reaches both singletons through paper_subs
+    # td answers a triple or a pair in one frame; paper_td reaches every singleton through
+    # paper_subs. Repeated, unsorted elements catch a clause that sorts or compares its elements.
     for problem in builtin_problems():
-        for length in range(1, 8):
-            example = example_input(problem, length)
+        repeated = "aab" if problem.input_kind == "chars" else [5, 5, -3]
+        for example in [*(example_input(problem, length) for length in range(1, 8)), repeated]:
             for xs in {type(example): example, list: list(example), tuple: tuple(example)}.values():
                 td_log, paper_log = [], []
-                value = td(length - 1, logging_problem(problem, td_log), xs)
+                value = td(len(xs) - 1, logging_problem(problem, td_log), xs)
                 assert value == paper_td(logging_problem(problem, paper_log), xs)
                 assert td_log == paper_log, (problem.name, xs)
 
 
-def test_td_calls_subs_only_on_three_or_more_elements(monkeypatch):
+def test_td_calls_subs_only_on_four_or_more_elements(monkeypatch):
     calls = {"subs": 0, "_td": 0}
     subs, frame = solver.subs, solver._td
 
@@ -106,13 +107,13 @@ def test_td_calls_subs_only_on_three_or_more_elements(monkeypatch):
     for m in range(1, 9):
         calls.update(subs=0, _td=0)
         td(m - 1, TRACE, prefix(m))
-        # one frame per sublist of two or more elements (or for a lone singleton), a subs call
-        # per sublist of three or more: m!/j! sublists of j elements
+        # one frame per sublist of three or more elements (or for a lone pair or singleton), a
+        # subs call per sublist of four or more: m!/j! sublists of j elements
         assert calls == {
-            "subs": sum(factorial(m) // factorial(j) for j in range(3, m + 1)),
-            "_td": sum(factorial(m) // factorial(j) for j in range(min(m, 2), m + 1)),
+            "subs": sum(factorial(m) // factorial(j) for j in range(4, m + 1)),
+            "_td": sum(factorial(m) // factorial(j) for j in range(min(m, 3), m + 1)),
         }
-    assert calls == {"subs": 8_801, "_td": 28_961}
+    assert calls == {"subs": 2_081, "_td": 8_801}
 
 
 def test_length_mismatch_is_rejected():
