@@ -8,11 +8,11 @@ literally and recomputes shared subproblems; it is the executable
 reference, kept deliberately free of caching, and checks the input's
 length once before it recurses. It answers a three-element sequence in
 one frame, as ``combine`` of its three pairs' answers, and a two-element
-one as ``combine`` of its two ``base`` answers; both clauses make the
-calls of the singleton clause alone, in the same order. ``bu`` computes each level
-of distinct subsequences exactly once, raising each level by position,
-and always agrees with ``td`` (the equivalence is replayed by the test
-suite and by ``sublists verify``).
+one as ``combine`` of its two ``base`` answers, making the recurrence's
+calls in its order. ``bu`` computes each level of distinct subsequences
+exactly once, raising each level by position, and always agrees with
+``td`` (the equivalence is replayed by the test suite and by
+``sublists verify``).
 """
 
 from __future__ import annotations
@@ -92,8 +92,7 @@ def td(n: int, problem: SublistProblem[X, Y], xs: Sequence[X]) -> Y:
     ``h [a, b, c] = g [g [f a, f b], g [f a, f c], g [f b, f c]]``, with its calls
     in that order and no ``base`` answer shared; a two-element input is answered as
     ``h [a, b] = g [f a, f b]``. On m = n + 1 ≥ 3 elements that is Σ_{j=3..m} m!/j!
-    frames (8,801 at m = 8, against 69,281 with a frame per singleton) and
-    Σ_{j=4..m} m!/j! ``subs`` calls (2,081 at m = 8).
+    frames (8,801 at m = 8) and Σ_{j=4..m} m!/j! ``subs`` calls (2,081 at m = 8).
     """
     _check_index(n, xs)
     return _td(problem.base, problem.combine, xs)
@@ -101,9 +100,9 @@ def td(n: int, problem: SublistProblem[X, Y], xs: Sequence[X]) -> Y:
 
 def _td(base: Callable[[X], Y], combine: Callable[[list[Y]], Y], xs: Sequence[X]) -> Y:
     """td below its checks; ``subs [a, b, c] = [[a, b], [a, c], [b, c]]`` and
-    ``subs [a, b] = [[a], [b]]``, so a triple or a pair is answered in its own frame
-    with the calls of the recursion down to singletons, in their order: on m elements,
-    Σ_{j=min(m, 3)..m} m!/j! frames and Σ_{j=4..m} m!/j! ``subs`` calls.
+    ``subs [a, b] = [[a], [b]]``, so a triple or a pair is answered in its own frame,
+    making the recurrence's calls in its order: on m elements, Σ_{j=min(m, 3)..m} m!/j!
+    frames and Σ_{j=4..m} m!/j! ``subs`` calls.
     """
     if len(xs) == 3:
         a, b, c = xs

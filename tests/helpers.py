@@ -50,16 +50,12 @@ def logging_problem(problem, log: list):
     return replace(problem, base=base, combine=combine, combine_level=None)
 
 
-def deletion_subs(t: tuple) -> list[tuple]:
-    """Immediate sublists by direct deletion, later positions first."""
-    return [t[: i] + t[i + 1 :] for i in range(len(t) - 1, -1, -1)]
-
-
 def memo_solve(problem, xs):
     """Memoized evaluation of the recurrence, keyed on subsequences.
 
-    Independent of both library evaluators: no trees, no shared subs
-    implementation, caching instead of recomputation.
+    Independent of both library evaluators: no trees, the paper's ``subs``
+    clause (``paper_subs``) instead of the library's, caching instead of
+    recomputation.
     """
     base, combine = problem.base, problem.combine
 
@@ -67,7 +63,7 @@ def memo_solve(problem, xs):
     def go(t: tuple):
         if len(t) == 1:
             return base(t[0])
-        return combine([go(s) for s in deletion_subs(t)])
+        return combine([go(s) for s in paper_subs(t)])
 
     return go(tuple(xs))
 

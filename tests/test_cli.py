@@ -10,6 +10,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from helpers import bu_g_calls, prefix, td_g_calls
+from test_cli_corpus import REQUESTS, recorded
 from sublists import TRACE, Node, ch, map_tree, solve, subs
 from sublists import combinatorics, encode_tree, instances, level_engine, solver
 from sublists.cli import main
@@ -90,27 +91,6 @@ def test_dump_usage_errors(capsys, monkeypatch):
         assert code == 2 and "exceeds the limit of 20" in err, length
 
 
-def test_verify_passes_and_reports_sorted_law_counts(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--max-len", "5")
-    assert code == 0
-    lines = [line for line in out.splitlines() if line.startswith("law ")]
-    names = [line.split()[1].rstrip(":") for line in lines]
-    assert names == sorted(names)
-    assert names == [
-        "combine-level[modsum]",
-        "pascal-spine",
-        "shape-advance",
-        "singleton-collapse",
-        "td-bu[maxmin]",
-        "td-bu[modsum]",
-        "td-bu[trace]",
-        "up-flat",
-        "upgrade-level",
-        "upgrade-tips",
-    ]
-    assert "all laws passed" in out
-
-
 def test_verify_catches_a_broken_combine_level(capsys, monkeypatch):
     modsum = instances.MODSUM
 
@@ -170,15 +150,13 @@ def test_bench_header_rows_and_count_columns(capsys):
     assert lines[5] == "4,86,26"
 
 
-def test_readme_transcripts_are_byte_exact(capsys):
-    # each README text block that starts with "$ sublists" shows a command and its full output
-    blocks = dict(re.findall(r"```text\n\$ sublists ([^\n]*)\n(.*?)```", README.read_text(), re.S))
-    for command in [
-        "run --problem trace --input abc --algo both",
-        "verify --max-len 8",
-        "dump --k 1 --input yz",
-        "bench --max-len 4",
-    ]:
-        code, out, _ = run_cli(capsys, *command.split())
-        assert code == 0, command
-        assert out == blocks[command], command
+def test_readme_transcripts_are_byte_exact():
+    # each README text block that starts with "$ sublists" shows a request of the CLI corpus and
+    # its recorded output; the corpus test replays the request
+    blocks = re.findall(r"```text\n\$ sublists ([^\n]*)\n(.*?)```", README.read_text(), re.S)
+    assert sorted(command.split()[0] for command, _ in blocks) == ["bench", "dump", "run", "verify"]
+    records = {tuple(record["argv"]): record for group in REQUESTS for record in recorded(group)}
+    for command, shown in blocks:
+        record = records[tuple(command.split())]
+        assert record["exit"] == 0, command
+        assert record["stdout"] == shown, command

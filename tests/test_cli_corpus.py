@@ -101,11 +101,16 @@ def replay(argv: list[str]) -> dict:
     return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
+def recorded(group: str) -> list[dict]:
+    """The records of ``golden/cli/<group>.jsonl``, in order."""
+    return [json.loads(line) for line in (CORPUS_DIR / f"{group}.jsonl").read_text().splitlines()]
+
+
 def test_cli_corpus_replays_byte_for_byte(monkeypatch):
     monkeypatch.setenv("COLUMNS", COLUMNS)
     assert sorted(path.stem for path in CORPUS_DIR.glob("*.jsonl")) == sorted(REQUESTS)
     for group, requests in REQUESTS.items():
-        records = [json.loads(line) for line in (CORPUS_DIR / f"{group}.jsonl").read_text().splitlines()]
+        records = recorded(group)
         assert [record["argv"] for record in records] == requests, group
         for record in records:
             assert replay(record["argv"]) == record, record["argv"]

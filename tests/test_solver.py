@@ -10,16 +10,7 @@ from math import comb, factorial
 
 import pytest
 
-from helpers import (
-    bu_g_calls,
-    bu_levels,
-    gather,
-    logging_problem,
-    memo_solve,
-    paper_td,
-    prefix,
-    td_g_calls,
-)
+from helpers import logging_problem, memo_solve, paper_td, prefix, td_g_calls
 from sublists import (
     MAXMIN,
     MODSUM,
@@ -31,7 +22,6 @@ from sublists import (
     SublistProblem,
     bu,
     builtin_problems,
-    choose,
     example_input,
     run_with_stats,
     solve,
@@ -175,15 +165,6 @@ def test_an_algorithm_may_be_named_by_its_value():
             evaluate(TRACE, "abc")
 
 
-def test_g_call_counts_match_the_closed_forms():
-    for n in range(0, 7):
-        xs = prefix(n + 1)
-        _, td_stats = run_with_stats(Algorithm.TOP_DOWN, n, TRACE, xs)
-        _, bu_stats = run_with_stats(Algorithm.BOTTOM_UP, n, TRACE, xs)
-        assert td_stats.g_calls == td_g_calls(n)
-        assert bu_stats.g_calls == bu_g_calls(n)
-
-
 def test_f_call_counts():
     for n in range(0, 7):
         xs = prefix(n + 1)
@@ -200,28 +181,6 @@ def test_base_only_run_makes_no_combine_calls():
     assert stats.f_calls == 1
     assert stats.g_calls == 0
     assert stats.peak_level_tips == 1
-
-
-def test_peak_level_tips():
-    _, bu_stats = run_with_stats(Algorithm.BOTTOM_UP, 4, TRACE, prefix(5))
-    assert bu_stats.peak_level_tips == max(comb(5, j) for j in range(1, 6))
-    assert bu_stats.peak_level_tips == 10
-    _, td_stats = run_with_stats(Algorithm.TOP_DOWN, 4, TRACE, prefix(5))
-    assert td_stats.peak_level_tips == 0
-
-
-def test_bu_levels_have_the_right_shapes():
-    for n in range(1, 8):
-        xs = prefix(n + 1)
-        levels, value = bu_levels(n, TRACE, xs)
-        assert len(levels) == n
-        for k, level in enumerate(levels, start=1):
-            assert len(level) == comb(n + 1, k), (n, k)
-            assert level == [memo_solve(TRACE, ys) for ys in choose(k, xs)], (n, k)
-        # the last raise yields one row, and bu returns its combined value
-        rows = gather(levels[-1], level_engine.gather_plan(n + 1)[n - 1], n + 1)
-        assert len(rows) == 1
-        assert value == TRACE.combine(rows[0])
 
 
 def test_solve_dispatches_and_validates():
