@@ -48,24 +48,47 @@ def criterion(label: str, budget_s: float):
     print(f"acceptance[{label}]: PASS ({box['cases']} cases, {elapsed:.2f}s)")
 
 
+# Every law's case count at 9 elements, each replayed by exactly one test below
+# (259 cases in all): the per-level laws take k = 1..n-1 on every n-element prefix,
+# n = 2..9; pascal-spine takes k = 1..n, singleton-collapse one case per n, and
+# td-bu lengths 1..9.
+LEVEL_LAWS = {
+    "combine-level[modsum]": 36,
+    "shape-advance": 36,
+    "up-flat": 36,
+    "upgrade-level": 36,
+    "upgrade-tips": 36,
+}
+COLLAPSE_LAWS = {"singleton-collapse": 8}
+OTHER_LAWS = {
+    "pascal-spine": 44,
+    "td-bu[maxmin]": 9,
+    "td-bu[modsum]": 9,
+    "td-bu[trace]": 9,
+}
+
+
+def replay_laws(expected: dict[str, int], box: dict) -> None:
+    counts = {name: laws.replay(name, 9) for name in expected}
+    box["cases"] = sum(counts.values())
+    assert counts == expected
+
+
+def test_level_upgrade_law_sweep():
+    with criterion("level-upgrade-law", budget_s=10.0) as box:
+        replay_laws(LEVEL_LAWS, box)
+
+
+def test_single_raise_collapses_to_sublists():
+    with criterion("final-raise-collapse", budget_s=5.0) as box:
+        replay_laws(COLLAPSE_LAWS, box)
+
+
 def test_every_law_replays_with_its_case_count():
-    # 259 cases: the per-level laws take k = 1..n-1 on every n-element prefix, n = 2..9;
-    # pascal-spine takes k = 1..n, singleton-collapse one case per n, and td-bu lengths 1..9
     with criterion("law-registry", budget_s=10.0) as box:
-        counts = laws.replay_all(9)
-        box["cases"] = sum(cases for _, cases in counts)
-        assert counts == [
-            ("combine-level[modsum]", 36),
-            ("pascal-spine", 44),
-            ("shape-advance", 36),
-            ("singleton-collapse", 8),
-            ("td-bu[maxmin]", 9),
-            ("td-bu[modsum]", 9),
-            ("td-bu[trace]", 9),
-            ("up-flat", 36),
-            ("upgrade-level", 36),
-            ("upgrade-tips", 36),
-        ]
+        # the three tables name each registered law once, in verify's sorted order
+        assert list(laws.registry()) == sorted({**LEVEL_LAWS, **COLLAPSE_LAWS, **OTHER_LAWS})
+        replay_laws(OTHER_LAWS, box)
 
 
 def test_evaluator_equivalence_sweep():
