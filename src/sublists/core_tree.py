@@ -2,8 +2,8 @@
 
 Trees are immutable; every combinator returns a fresh structure and never
 mutates its argument. Traversals are plain recursion: tree depth never
-exceeds the source-sequence length, and ``ch``, ``up`` and ``subs``
-already recurse that deep.
+exceeds the source-sequence length, and ``ch`` and ``up`` already
+recurse that deep.
 
 A tree also has a canonical JSON document form: a tip is ``{"tip": value}``
 and a node is ``{"node": [left, right]}``, serialized with no extra

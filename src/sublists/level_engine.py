@@ -1,12 +1,14 @@
 """The level-raising step on choice trees.
 
-``up`` is the engine of the bottom-up solver. Applied to a tree shaped
+``up`` is the paper's level-raising step. Applied to a tree shaped
 like ``ch(k, xs)`` whose tips carry values attached to the k-element
 subsequences of ``xs`` (in generation order), it returns a tree shaped
 like ``ch(k + 1, xs)`` in which each tip carries the *list* of values of
 that (k+1)-subsequence's immediate sublists, in ``subs`` order. That list
 is exactly the argument a sublist recurrence's combining function wants,
-which is why one ``up`` plus one tip-wise map advances a whole level.
+so one ``up`` plus one tip-wise map advances a whole level. ``bu`` gathers
+by ``gather_plan`` instead, ``up`` compiled to positions, and ``up`` is
+the specification that the law ``up-flat`` checks each plan against.
 
 ``up`` rearranges values purely by position; it never looks at them. Its
 domain is trees of shape (k, n) with 1 <= k < n. The shape (n, n) and

@@ -5,14 +5,10 @@ singletons, and ``combine`` builds the answer for a sequence out of the
 answers for all its immediate sublists (every way of deleting one
 element), received in ``subs`` order. ``td`` evaluates that recurrence
 literally and recomputes shared subproblems; it is the executable
-reference, kept deliberately free of caching, and checks the input's
-length once before it recurses. It answers a three-element sequence in
-one frame, as ``combine`` of its three pairs' answers, and a two-element
-one as ``combine`` of its two ``base`` answers, making the recurrence's
-calls in its order. ``bu`` computes each level of distinct subsequences
-exactly once, raising each level by position, and always agrees with
-``td`` (the equivalence is replayed by the test suite and by
-``sublists verify``).
+reference, kept deliberately free of caching. ``bu`` computes each level
+of distinct subsequences exactly once, raising each level by position, and
+always agrees with ``td`` (the equivalence is replayed by the test suite
+and by ``sublists verify``).
 """
 
 from __future__ import annotations
@@ -86,31 +82,24 @@ def _check_index(n: int, xs: Sequence) -> None:
 def td(n: int, problem: SublistProblem[X, Y], xs: Sequence[X]) -> Y:
     """Reference evaluator: index n answers sequences of length n + 1.
 
-    Literal and cache-free, with one length check: every immediate sublist is
-    solved afresh, (n + 1)! ``base`` and c(n) = 1 + (n + 1)·c(n − 1) ``combine`` calls.
-    A three-element sublist is answered in its own frame, as
-    ``h [a, b, c] = g [g [f a, f b], g [f a, f c], g [f b, f c]]``, with its calls
-    in that order and no ``base`` answer shared; a two-element input is answered as
-    ``h [a, b] = g [f a, f b]``. On m = n + 1 ≥ 3 elements that is Σ_{j=3..m} m!/j!
-    frames (8,801 at m = 8) and Σ_{j=4..m} m!/j! ``subs`` calls (2,081 at m = 8).
+    Literal and cache-free, with one length check: ``h [x] = f x``, a three-element
+    sublist in one frame as ``h [a, b, c] = g [g [f a, f b], g [f a, f c], g [f b, f c]]``
+    (no ``base`` answer shared), and otherwise ``h xs = g (map h (subs xs))``. Every
+    sublist is solved afresh, in the recurrence's order: (n + 1)! ``base`` and
+    c(n) = 1 + (n + 1)·c(n − 1) ``combine`` calls, and on m = n + 1 ≥ 3 elements
+    Σ_{j=3..m} m!/j! frames (8,801 at m = 8) and Σ_{j=4..m} m!/j! ``subs`` calls (2,081).
     """
     _check_index(n, xs)
     return _td(problem.base, problem.combine, xs)
 
 
 def _td(base: Callable[[X], Y], combine: Callable[[list[Y]], Y], xs: Sequence[X]) -> Y:
-    """td below its checks; ``subs [a, b, c] = [[a, b], [a, c], [b, c]]`` and
-    ``subs [a, b] = [[a], [b]]``, so a triple or a pair is answered in its own frame,
-    making the recurrence's calls in its order: on m elements, Σ_{j=min(m, 3)..m} m!/j!
-    frames and Σ_{j=4..m} m!/j! ``subs`` calls.
-    """
+    """td below its length check, with ``base`` and ``combine`` bound."""
     if len(xs) == 3:
         a, b, c = xs
         return combine(
             [combine([base(a), base(b)]), combine([base(a), base(c)]), combine([base(b), base(c)])]
         )
-    if len(xs) == 2:
-        return combine([base(xs[0]), base(xs[1])])
     if len(xs) == 1:
         return base(xs[0])
     return combine([_td(base, combine, ys) for ys in subs(xs)])
@@ -152,41 +141,36 @@ def run_with_stats(
 ) -> tuple[Y, RunStats]:
     """Evaluate like td/bu and report call counts alongside the value.
 
-    Counting wraps ``base`` and, for td, ``combine`` or, for bu, its level
-    combine, called once per level; the algorithms run unchanged, so the
-    value is identical to the bare evaluators'. The bottom-up level sizes are read
-    from the calls: the seed level has one tip per ``base`` call, and every
-    other level one tip per answer of its level combine.
+    One counted problem wraps ``base``, ``combine`` and the level combine: td calls
+    only ``combine``, bu only the level combine, once per level, and the value is the
+    bare evaluators'. bu's level sizes are read from the calls: the seed level has one
+    tip per ``base`` call, every other level one per answer of its level combine.
 
     ``algo`` is an ``Algorithm`` or its value, ``"td"`` or ``"bu"``; anything
     else raises ValueError.
     """
     algo = Algorithm(algo)
     stats = RunStats()
-    base, combine = problem.base, problem.combine
+    level_sizes: list[int] = []
+    base, combine, combine_level = problem.base, problem.combine, _level_combine(problem)
 
     def counted_base(x):
         stats.f_calls += 1
         return base(x)
 
-    if algo is Algorithm.TOP_DOWN:
+    def counted_combine(ys):
+        stats.g_calls += 1
+        return combine(ys)
 
-        def counted_combine(ys):
-            stats.g_calls += 1
-            return combine(ys)
-
-        value = td(n, replace(problem, base=counted_base, combine=counted_combine), xs)
-        return value, stats
-
-    level_sizes: list[int] = []
-    combine_level = _level_combine(problem)
-
-    def counted_combine_level(columns):
+    def counted_level(columns):
         answers = combine_level(columns)
         level_sizes.append(len(answers))
         return answers
 
-    value = bu(n, replace(problem, base=counted_base, combine_level=counted_combine_level), xs)
+    counted = replace(problem, base=counted_base, combine=counted_combine, combine_level=counted_level)
+    if algo is Algorithm.TOP_DOWN:
+        return td(n, counted, xs), stats
+    value = bu(n, counted, xs)
     stats.g_calls = sum(level_sizes)
     stats.peak_level_tips = max([stats.f_calls, *level_sizes])
     return value, stats

@@ -1,5 +1,5 @@
 """CLI behavior beyond the byte corpus: fault reporting, refusals before any work,
-and outputs checked against independent oracles."""
+outputs checked against independent oracles, and the README's examples."""
 
 from __future__ import annotations
 
@@ -117,18 +117,6 @@ def test_verify_reports_the_first_counterexample_when_up_is_broken(capsys, monke
     assert code == 1
     assert "counterexample" in out
     assert "input:" in out
-
-
-def test_verify_counterexample_in_json(capsys, monkeypatch):
-    real_up = level_engine.up
-
-    def broken_up(t):
-        raised = real_up(t)
-        if isinstance(raised, Node):
-            return Node(raised.right, raised.left)
-        return raised
-
-    monkeypatch.setattr(level_engine, "up", broken_up)
     code, out, _ = run_cli(capsys, "verify", "--max-len", "4", "--format", "json")
     assert code == 1
     doc = json.loads(out)
@@ -160,3 +148,11 @@ def test_readme_transcripts_are_byte_exact():
         record = records[tuple(command.split())]
         assert record["exit"] == 0, command
         assert record["stdout"] == shown, command
+
+
+def test_readme_library_use_runs_as_stated():
+    (block,) = re.findall(r"## Library use\n\n```python\n(.*?)```", README.read_text(), re.S)
+    namespace: dict = {}
+    exec(block, namespace)
+    assert namespace["stats"].g_calls == 86
+    assert namespace["value"] == eval("solve(longest, [3, 1, 4, 1, 5])", namespace) == 1

@@ -80,7 +80,7 @@ def test_td_makes_the_papers_calls_in_the_papers_order():
                 assert td_log == paper_log, (problem.name, xs)
 
 
-def test_td_calls_subs_only_on_four_or_more_elements(monkeypatch):
+def test_td_calls_subs_on_four_or_more_elements_and_on_a_lone_pair(monkeypatch):
     calls = {"subs": 0, "_td": 0}
     subs, frame = solver.subs, solver._td
 
@@ -97,12 +97,13 @@ def test_td_calls_subs_only_on_four_or_more_elements(monkeypatch):
     for m in range(1, 9):
         calls.update(subs=0, _td=0)
         td(m - 1, TRACE, prefix(m))
-        # one frame per sublist of three or more elements (or for a lone pair or singleton), a
-        # subs call per sublist of four or more: m!/j! sublists of j elements
+        # m!/j! sublists of j elements: one frame for each of three or more elements, and a subs
+        # call for each of four or more; a lone pair has no triple above it and goes through subs
+        low = 3 if m >= 3 else 1
         assert calls == {
-            "subs": sum(factorial(m) // factorial(j) for j in range(4, m + 1)),
-            "_td": sum(factorial(m) // factorial(j) for j in range(min(m, 3), m + 1)),
-        }
+            "subs": sum(factorial(m) // factorial(j) for j in range(low + 1, m + 1)),
+            "_td": sum(factorial(m) // factorial(j) for j in range(low, m + 1)),
+        }, m
     assert calls == {"subs": 2_081, "_td": 8_801}
 
 
@@ -113,10 +114,6 @@ def test_length_mismatch_is_rejected():
         bu(1, TRACE, "abc")
     with pytest.raises(LengthMismatch):
         td_prime(2, TRACE.combine, ["a", "b"])
-
-
-def test_td_prime_base_case():
-    assert td_prime(0, TRACE.combine, ["x"]) == "x"
 
 
 def test_td_factors_through_td_prime():
@@ -173,14 +170,6 @@ def test_f_call_counts():
         # td reaches every singleton along every deletion order
         assert td_stats.f_calls == factorial(n + 1)
         assert bu_stats.f_calls == n + 1
-
-
-def test_base_only_run_makes_no_combine_calls():
-    value, stats = run_with_stats(Algorithm.BOTTOM_UP, 0, TRACE, "a")
-    assert value == "a"
-    assert stats.f_calls == 1
-    assert stats.g_calls == 0
-    assert stats.peak_level_tips == 1
 
 
 def test_solve_dispatches_and_validates():
