@@ -117,6 +117,18 @@ def test_verify_reports_the_first_counterexample_when_up_is_broken(capsys, monke
     assert code == 1
     assert "counterexample" in out
     assert "input:" in out
+
+
+def test_verify_counterexample_in_json(capsys, monkeypatch):
+    real_up = level_engine.up
+
+    def broken_up(t):
+        raised = real_up(t)
+        if isinstance(raised, Node):
+            return Node(raised.right, raised.left)
+        return raised
+
+    monkeypatch.setattr(level_engine, "up", broken_up)
     code, out, _ = run_cli(capsys, "verify", "--max-len", "4", "--format", "json")
     assert code == 1
     doc = json.loads(out)
