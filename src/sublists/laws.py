@@ -77,11 +77,15 @@ def singleton_collapse(max_len: int) -> Iterator[Case]:
 
 
 def pascal_spine(max_len: int) -> Iterator[Case]:
-    """Right-spine tip counts walk a diagonal of Pascal's triangle."""
+    """Spine tip counts are Pascal diagonals: left C(n-j, k-j), right C(n-j, k), j steps down."""
     for n, xs in _prefixes(max_len):
         for k in range(1, n + 1):
-            rhs = [math.comb(m, k) for m in range(n, k - 1, -1)]
-            yield {"input": xs, "k": k}, comb.spine_sizes(comb.ch(k, xs)), rhs
+            spine = [comb.ch(k, xs)]
+            while isinstance(spine[-1], tree.Node):
+                spine.append(spine[-1].left)
+            lhs = [len(tree.tips(t)) for t in spine], comb.spine_sizes(spine[0])
+            left = [math.comb(n - j, k - j) for j in range(k + 1 if k < n else 1)]
+            yield {"input": xs, "k": k}, lhs, (left, [math.comb(n - j, k) for j in range(n - k + 1)])
 
 
 def shape_advance(max_len: int) -> Iterator[Case]:

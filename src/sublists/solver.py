@@ -82,12 +82,11 @@ def _check_index(n: int, xs: Sequence) -> None:
 def td(n: int, problem: SublistProblem[X, Y], xs: Sequence[X]) -> Y:
     """Reference evaluator: index n answers sequences of length n + 1.
 
-    Literal and cache-free, with one length check: ``h [x] = f x``, a three-element
-    sublist in one frame as ``h [a, b, c] = g [g [f a, f b], g [f a, f c], g [f b, f c]]``
-    (no ``base`` answer shared), and otherwise ``h xs = g (map h (subs xs))``. Every
-    sublist is solved afresh, in the recurrence's order: (n + 1)! ``base`` and
-    c(n) = 1 + (n + 1)·c(n − 1) ``combine`` calls, and on m = n + 1 ≥ 3 elements
-    Σ_{j=3..m} m!/j! frames (8,801 at m = 8) and Σ_{j=4..m} m!/j! ``subs`` calls (2,081).
+    Literal and cache-free, with one length check: ``h [x] = f x``, ``h xs = g (map h (subs xs))``,
+    and ``h [a, b, c, d]`` in one frame as ``g`` of its triples abc, abd, acd, bcd, each inline as
+    ``g [g [f x, f y], g [f x, f z], g [f y, f z]]`` (no answer shared), all in the recurrence's
+    order. Calls: (n + 1)! ``base``, c(n) = 1 + (n + 1)·c(n − 1) ``combine``; for m = n + 1 ≥ 4:
+    Σ_{j=4..m} m!/j! frames (2,081 at m = 8), Σ_{j=5..m} m!/j! ``subs`` (401).
     """
     _check_index(n, xs)
     return _td(problem.base, problem.combine, xs)
@@ -95,11 +94,14 @@ def td(n: int, problem: SublistProblem[X, Y], xs: Sequence[X]) -> Y:
 
 def _td(base: Callable[[X], Y], combine: Callable[[list[Y]], Y], xs: Sequence[X]) -> Y:
     """td below its length check, with ``base`` and ``combine`` bound."""
-    if len(xs) == 3:
-        a, b, c = xs
-        return combine(
-            [combine([base(a), base(b)]), combine([base(a), base(c)]), combine([base(b), base(c)])]
-        )
+    if len(xs) == 4:
+        a, b, c, d = xs
+        return combine([
+            combine([combine([base(a), base(b)]), combine([base(a), base(c)]), combine([base(b), base(c)])]),
+            combine([combine([base(a), base(b)]), combine([base(a), base(d)]), combine([base(b), base(d)])]),
+            combine([combine([base(a), base(c)]), combine([base(a), base(d)]), combine([base(c), base(d)])]),
+            combine([combine([base(b), base(c)]), combine([base(b), base(d)]), combine([base(c), base(d)])]),
+        ])
     if len(xs) == 1:
         return base(xs[0])
     return combine([_td(base, combine, ys) for ys in subs(xs)])

@@ -68,11 +68,14 @@ def test_bare_td_recomputes_every_subproblem():
 
 
 def test_td_makes_the_papers_calls_in_the_papers_order():
-    # td answers a triple or a pair in one frame; paper_td reaches every singleton through
-    # paper_subs. Repeated, unsorted elements catch a clause that sorts or compares its elements.
+    # td answers a four-element sublist in one frame; paper_td reaches every singleton through
+    # paper_subs. Repeated, unsorted elements catch a clause that sorts, dedups or swaps them.
     for problem in builtin_problems():
-        repeated = "aab" if problem.input_kind == "chars" else [5, 5, -3]
-        for example in [*(example_input(problem, length) for length in range(1, 8)), repeated]:
+        if problem.input_kind == "chars":
+            repeated = ["aab", "abab", "aabab"]
+        else:
+            repeated = [[5, 5, -3], [5, 5, -3, 5], [5, 5, -3, 5, -3]]
+        for example in [*(example_input(problem, length) for length in range(1, 9)), *repeated]:
             for xs in {type(example): example, list: list(example), tuple: tuple(example)}.values():
                 td_log, paper_log = [], []
                 value = td(len(xs) - 1, logging_problem(problem, td_log), xs)
@@ -80,7 +83,7 @@ def test_td_makes_the_papers_calls_in_the_papers_order():
                 assert td_log == paper_log, (problem.name, xs)
 
 
-def test_td_calls_subs_on_four_or_more_elements_and_on_a_lone_pair(monkeypatch):
+def test_td_calls_subs_on_five_or_more_elements_and_on_inputs_under_four(monkeypatch):
     calls = {"subs": 0, "_td": 0}
     subs, frame = solver.subs, solver._td
 
@@ -97,14 +100,15 @@ def test_td_calls_subs_on_four_or_more_elements_and_on_a_lone_pair(monkeypatch):
     for m in range(1, 9):
         calls.update(subs=0, _td=0)
         td(m - 1, TRACE, prefix(m))
-        # m!/j! sublists of j elements: one frame for each of three or more elements, and a subs
-        # call for each of four or more; a lone pair has no triple above it and goes through subs
-        low = 3 if m >= 3 else 1
+        # m!/j! sublists of j elements: one frame for each of four or more elements, and a subs
+        # call for each of five or more; an input of under four has no four-element sublist
+        # above it, and every sublist of two or more elements goes through subs
+        low = 4 if m >= 4 else 1
         assert calls == {
             "subs": sum(factorial(m) // factorial(j) for j in range(low + 1, m + 1)),
             "_td": sum(factorial(m) // factorial(j) for j in range(low, m + 1)),
         }, m
-    assert calls == {"subs": 2_081, "_td": 8_801}
+    assert calls == {"subs": 401, "_td": 2_081}
 
 
 def test_length_mismatch_is_rejected():
