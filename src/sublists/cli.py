@@ -40,6 +40,7 @@ TD_MAX_INPUT = 10
 TRACE_MAX_INPUT = 11
 
 
+@functools.cache  # built on first use; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sublists",
@@ -188,11 +189,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 _HANDLERS = {"run": cmd_run, "verify": cmd_verify, "dump": cmd_dump, "bench": cmd_bench}
-_parser = functools.cache(build_parser)  # built on first use; parsing leaves it unchanged
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except SublistsError as exc:

@@ -52,25 +52,12 @@ def map_tree(f: Callable[[A], B], t: BinomialTree[A]) -> BinomialTree[B]:
 def zip_tree_with(
     f: Callable[[A, B], C], t: BinomialTree[A], u: BinomialTree[B]
 ) -> BinomialTree[C]:
-    """Combine two same-shaped trees tip-wise with ``f``.
-
-    Raises ShapeMismatch carrying the path (L/R turns from the root) to
-    the first point, in left-to-right order, where the shapes diverge.
-    """
+    """Combine two same-shaped trees tip-wise with ``f``; ShapeMismatch if they differ."""
     if isinstance(t, Tip) and isinstance(u, Tip):
         return Tip(f(t.value, u.value))
     if isinstance(t, Node) and isinstance(u, Node):
-        # the path is built only while a mismatch unwinds, never on success
-        try:
-            left = zip_tree_with(f, t.left, u.left)
-        except ShapeMismatch as exc:
-            raise ShapeMismatch(("L", *exc.path)) from None
-        try:
-            right = zip_tree_with(f, t.right, u.right)
-        except ShapeMismatch as exc:
-            raise ShapeMismatch(("R", *exc.path)) from None
-        return Node(left, right)
-    raise ShapeMismatch()
+        return Node(zip_tree_with(f, t.left, u.left), zip_tree_with(f, t.right, u.right))
+    raise ShapeMismatch("tree shapes differ")
 
 
 def un_tip(t: BinomialTree[A]) -> A:

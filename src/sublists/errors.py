@@ -12,16 +12,7 @@ class SublistsError(Exception):
 
 
 class ShapeMismatch(SublistsError):
-    """Two trees combined tip-wise disagree in shape.
-
-    ``path`` holds the L/R turns from the root to the first point of
-    divergence, in left-to-right traversal order.
-    """
-
-    def __init__(self, path: tuple[str, ...] = ()):
-        self.path = tuple(path)
-        where = "/".join(self.path) if self.path else "<root>"
-        super().__init__(f"tree shapes diverge at {where}")
+    """Two trees combined tip-wise disagree in shape."""
 
 
 class NotATip(SublistsError):

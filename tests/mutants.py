@@ -1,0 +1,150 @@
+"""Mutation gate: every listed mutant of ``src/sublists`` must make Tier-1 fail.
+
+Run from anywhere, as a script: ``python tests/mutants.py``. pytest does not collect
+it (its name does not start with ``test_``). It uses only the standard library.
+
+Each mutant is ``(file under src/sublists, exact old text, new text, reason)``; the
+old text must occur exactly once in its file, so a refactor that moves it must update
+the list. The script copies ``src/``, ``tests/``, ``golden/``, ``README.md`` and
+``pyproject.toml`` to a temporary directory, checks that the unmutated copy passes,
+then applies one mutant at a time and runs Tier-1 with ``-x`` under a per-mutant
+timeout. A mutant is killed when the run fails or times out (a hang is reported as
+such). The script exits 1 if any mutant survives or any old text is not found exactly
+once, and 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ["src", "tests", "golden", "README.md", "pyproject.toml"]
+TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+TIMEOUT_S = 180
+
+_ABC = "combine([combine([base(a), base(b)]), combine([base(a), base(c)]), combine([base(b), base(c)])]),"
+_ABD = "combine([combine([base(a), base(b)]), combine([base(a), base(d)]), combine([base(b), base(d)])]),"
+_ACD = "combine([combine([base(a), base(c)]), combine([base(a), base(d)]), combine([base(c), base(d)])]),"
+_BCD = "combine([combine([base(b), base(c)]), combine([base(b), base(d)]), combine([base(c), base(d)])]),"
+
+MUTANTS = [
+    # lines that only a dedicated assertion holds
+    ("solver.py", "        level.reverse()\n", "",
+     "bu frees each spent level in the order its answers were made"),
+    ("cli.py", "    except SublistsError as exc:", "    except ArithmeticError as exc:",
+     "a domain error inside a command exits 2 with its message"),
+    ("laws.py", "    if isinstance(value, (tree.Tip, tree.Node)):\n        return tree.encode_tree(value)\n", "",
+     "a counterexample renders tree sides as canonical tree JSON"),
+    ("laws.py", '    return json.dumps(value, separators=(",", ":"))\n', "",
+     "a counterexample renders other sides as compact JSON"),
+    ("laws.py", "        super().__init__(law)\n", "",
+     "a counterexample's message is its law's name"),
+    ("combinatorics.py", "    if k < 1 or n < 1:\n        return False\n", "",
+     "check_shape refuses a node at an index with k < 1 or n < 1"),
+    ("level_engine.py", '    raise TypeError(f"not a tree: {t!r}")\n', "",
+     "up refuses a value that is not a tree"),
+    ("cli.py", "@functools.cache  # built on first use; parsing leaves it unchanged\n", "",
+     "the CLI parser is built once"),
+    ("core_tree.py", '    raise ShapeMismatch("tree shapes differ")', "    return Tip(None)",
+     "zip_tree_with refuses trees of different shapes"),
+    # td's four-element clause
+    ("solver.py", "        a, b, c, d = xs", "        a, b, d, c = xs",
+     "td's four-element clause keeps the input order"),
+    ("solver.py", f"            {_ABD}\n            {_ACD}\n", f"            {_ACD}\n            {_ABD}\n",
+     "td's four-element clause takes the triples in subs order"),
+    ("solver.py", _ABD, _ABD.replace("base(a), base(d)", "base(a), base(c)"),
+     "td's four-element clause pairs the right elements"),
+    ("solver.py", "    if len(xs) == 4:", "    if len(xs) >= 4:",
+     "td's four-element clause answers only four-element sublists"),
+    ("solver.py", _ABD, "[" + _ABD[len("combine(["):-len("]),")] + "],",
+     "td's four-element clause combines every triple"),
+    ("solver.py",
+     f"    if len(xs) == 4:\n        a, b, c, d = xs\n        return combine([\n            {_ABC}\n"
+     f"            {_ABD}\n            {_ACD}\n            {_BCD}\n        ])\n",
+     f"    if len(xs) == 3:\n        a, b, c = xs\n        return {_ABC[:-1]}\n",
+     "td answers a four-element sublist in one frame, not a three-element one"),
+    # broken code that earlier changes were checked against
+    ("level_engine.py", "zip(*[kept] * k, range(-keep, 0))", "zip(range(-keep, 0), *[kept] * k)",
+     "each gather plan row lists the immediate sublists in subs order"),
+    ("instances.py", "    acc = iter(columns[0])\n", "    columns = columns[::-1]\n    acc = iter(columns[0])\n",
+     "modsum's level combine weights its columns in order"),
+    ("instances.py", "    return [(1 + a) % MODULUS for a in acc]", "    return [1 + a for a in acc]",
+     "modsum's level combine reduces by the modulus"),
+    ("solver.py", "        level_sizes.append(len(answers))", "        level_sizes.append(len(columns))",
+     "run_with_stats counts a level's answers, not its columns"),
+    ("solver.py", "    if n < 0:", "    if n < -1:",
+     "an empty input is refused before any evaluator runs"),
+]
+
+
+def copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "*.egg-info")
+    for name in COPIED:
+        src = ROOT / name
+        if src.is_dir():
+            shutil.copytree(src, dest / name, ignore=ignore)
+        else:
+            shutil.copy2(src, dest / name)
+
+
+def run_tier1(workdir: Path) -> tuple[str, float]:
+    """Run Tier-1 in ``workdir``: ``"passed"``, ``"failed"`` or ``"hung"``, with its time."""
+    env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
+    start = time.perf_counter()
+    proc = subprocess.Popen(TIER1, cwd=workdir, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL, start_new_session=True)
+    try:
+        code = proc.wait(timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        return "hung", time.perf_counter() - start
+    return ("passed" if code == 0 else "failed"), time.perf_counter() - start
+
+
+def main() -> int:
+    sources = {}
+    missing = []
+    for file, old, _, reason in MUTANTS:
+        text = sources.setdefault(file, (ROOT / "src" / "sublists" / file).read_text())
+        if text.count(old) != 1:
+            missing.append(f"{file}: old text found {text.count(old)} times ({reason})")
+    if missing:
+        print("each old text must occur exactly once:", *missing, sep="\n  ")
+        return 1
+
+    with tempfile.TemporaryDirectory(prefix="sublists-mutants-") as tmp:
+        workdir = Path(tmp)
+        copy_tree(workdir)
+        outcome, elapsed = run_tier1(workdir)
+        if outcome != "passed":
+            print(f"the unmutated copy {outcome} Tier-1 ({elapsed:.1f} s)")
+            return 1
+        print(f"unmutated copy passed Tier-1 in {elapsed:.1f} s")
+
+        survivors = []
+        for file, old, new, reason in MUTANTS:
+            path = workdir / "src" / "sublists" / file
+            path.write_text(sources[file].replace(old, new))
+            try:
+                outcome, elapsed = run_tier1(workdir)
+            finally:
+                path.write_text(sources[file])
+            verdict = {"failed": "killed", "hung": "killed (hung)", "passed": "SURVIVED"}[outcome]
+            print(f"{verdict:14} {elapsed:6.1f} s  {file}: {reason}", flush=True)
+            if outcome == "passed":
+                survivors.append(reason)
+
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

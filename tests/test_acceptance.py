@@ -142,7 +142,7 @@ def test_cost_split_matches_the_closed_forms():
             box["cases"] += 1
         for n in range(0, 14):  # modsum raises its levels through combine_level
             _, bu_stats = run_with_stats(Algorithm.BOTTOM_UP, n, MODSUM, example_input(MODSUM, n + 1))
-            assert bu_stats.g_calls == 2 ** (n + 1) - n - 2, n
+            assert bu_stats.g_calls == bu_g_calls(n), n
             assert bu_stats.peak_level_tips == math.comb(n + 1, (n + 1) // 2), n
             box["cases"] += 1
 

@@ -11,8 +11,8 @@ from pathlib import Path
 
 from helpers import bu_g_calls, prefix, td_g_calls
 from test_cli_corpus import REQUESTS, recorded
-from sublists import TRACE, Node, ch, map_tree, solve, subs
-from sublists import combinatorics, encode_tree, instances, level_engine, solver
+from sublists import TRACE, Node, OutOfRange, ch, map_tree, solve, subs
+from sublists import cli, combinatorics, encode_tree, instances, level_engine, solver
 from sublists.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -35,6 +35,18 @@ def test_run_reports_differ_when_an_evaluator_is_broken(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "run", "--problem", "trace", "--input", "abc")
     assert code == 1
     assert "verdict: DIFFER" in out
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_a_domain_error_inside_a_command_exits_2(capsys, monkeypatch):
+    def refuse(algo, n, problem, xs):
+        raise OutOfRange("boom")
+
+    monkeypatch.setattr(solver, "run_with_stats", refuse)
+    assert run_cli(capsys, "run", "--problem", "trace", "--input", "abc") == (2, "", "error: boom\n")
 
 
 def test_run_refuses_long_trace_inputs_before_solving(capsys, monkeypatch):

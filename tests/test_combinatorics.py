@@ -136,6 +136,7 @@ def test_check_shape_node_rules():
     assert not check_shape(Node(Tip("x"), Tip("y")), (2, 3))
     assert not check_shape(Node(Tip("x"), Tip("y")), (0, 2))
     assert not check_shape(Node(Tip("x"), Tip("y")), (1, 0))
+    assert not check_shape(Node(Tip("x"), Tip("y")), (0, 0))
 
 
 def test_check_shape_is_specific():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import json
 import sys
 import threading
 import tracemalloc
@@ -22,6 +23,7 @@ from sublists import (
     ch,
     check_shape,
     choose,
+    encode_tree,
     map_tree,
     subs,
     td,
@@ -30,7 +32,7 @@ from sublists import (
     upgrade_oracle,
     zip_tree_with,
 )
-from sublists import level_engine
+from sublists import laws, level_engine
 from sublists.core_tree import snoc
 
 
@@ -59,6 +61,37 @@ def test_up_rejects_a_bare_tip():
     with pytest.raises(MalformedLevel) as err:
         up(Tip("a"))
     assert "tip" in str(err.value)
+    with pytest.raises(TypeError):
+        up("ab")
+
+
+def _swap_children(t):
+    if isinstance(t, Node):
+        return Node(_swap_children(t.right), _swap_children(t.left))
+    return t
+
+
+def test_a_counterexample_names_its_law_and_renders_both_sides(monkeypatch):
+    # with every raised node's children swapped, both laws first fail on abc at k = 1
+    real_up = level_engine.up
+    monkeypatch.setattr(level_engine, "up", lambda t: _swap_children(real_up(t)))
+    raised = _swap_children(real_up(ch(1, "abc")))
+    with pytest.raises(laws.Counterexample, match="^upgrade-level$") as err:
+        laws.replay("upgrade-level", 3)
+    assert err.value.info == {
+        "input": "abc",
+        "k": 1,
+        "lhs": encode_tree(raised),
+        "rhs": encode_tree(map_tree(subs, ch(2, "abc"))),
+    }
+    with pytest.raises(laws.Counterexample, match="^upgrade-tips$") as err:
+        laws.replay("upgrade-tips", 3)
+    assert err.value.info == {
+        "input": "abc",
+        "k": 1,
+        "lhs": json.dumps(tips(raised), separators=(",", ":")),
+        "rhs": json.dumps(upgrade_oracle(1, "abc"), separators=(",", ":")),
+    }
 
 
 def test_up_names_clause_2_on_a_left_subtree_that_cannot_collapse():
@@ -115,19 +148,6 @@ def test_raise_then_combine_advances_a_level_of_solved_values():
 
 
 shape_indices = st.sampled_from([(k, n) for n in range(2, 7) for k in range(1, n)])
-
-
-@given(d=st.data(), kn=shape_indices)
-@settings(deadline=None)
-def test_up_rearranges_values_without_looking(d, kn):
-    # mapping before the raise equals mapping inside every tip after it
-    k, n = kn
-    t = tree_of_shape(k, n, lambda: d.draw(st.integers(-100, 100)))
-
-    def f(v):
-        return v * 3 + 1
-
-    assert up(map_tree(f, t)) == map_tree(lambda ys: [f(y) for y in ys], up(t))
 
 
 @given(d=st.data(), km=st.sampled_from([(k, m) for m in range(2, 10) for k in range(1, m)]))

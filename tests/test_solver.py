@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+import weakref
 from dataclasses import replace
 from functools import partial
 from math import comb, factorial
@@ -147,6 +148,23 @@ def test_bu_trace_example():
     assert bu(0, TRACE, "z") == "z"
     assert bu(1, TRACE, "zy") == "(zy)"
     assert bu(1, MODSUM, [5, 7]) == (1 + 5 * 1 + 7 * 2) % MODULUS
+
+
+def test_bu_frees_each_spent_level_in_the_order_it_was_made():
+    # answers are labelled in the order they are made; each level dies once the next is made
+    made, freed = [], []
+
+    class Answer:
+        def __init__(self, value):
+            self.value = value
+            weakref.finalize(self, freed.append, len(made))
+            made.append(None)
+
+    boxed = SublistProblem("boxed", Answer, lambda ys: Answer(MODSUM.combine([y.value for y in ys])))
+    xs = [1, 2, 3, 4, 5]
+    answer = bu(len(xs) - 1, boxed, xs)
+    assert answer.value == solve(MODSUM, xs)
+    assert freed == list(range(len(made) - 1))
 
 
 def test_run_with_stats_returns_the_bare_value():
