@@ -7,14 +7,16 @@ one law, counts its cases and raises ``Counterexample`` at the first case
 whose sides differ. ``sublists verify`` prints what ``replay_all`` returns,
 and the acceptance tests replay the same registry.
 
-Laws reach ``level_engine.up``, ``gather_plan`` and ``gather``, ``solver.td``
-and ``solver.bu`` through their modules rather than binding them at import
-time, so a replacement patched into one of them is exactly what gets checked.
+Laws reach ``level_engine.up``, ``gather_plan`` and ``gather``, ``solver.td``,
+``solver.bu`` and ``solver.run_with_stats`` through their modules rather than
+binding them at import time, so a replacement patched into one of them is
+exactly what gets checked.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import random
@@ -110,6 +112,16 @@ def td_bu(problem: solver.SublistProblem, max_len: int) -> Iterator[Case]:
         yield {"input": xs}, lhs, solver.bu(length - 1, problem, xs)
 
 
+def td_calls(max_len: int) -> Iterator[Case]:
+    """The td calls run_with_stats reports are the calls its one td run makes."""
+    for length in range(1, max_len + 1):
+        xs = ascii_lowercase[:length]
+        f_calls, g_calls = itertools.count(), itertools.count()
+        counting = solver.SublistProblem("counting", lambda _: next(f_calls), lambda _: next(g_calls))
+        _, stats = solver.run_with_stats("td", length - 1, counting, xs)
+        yield {"input": xs}, (next(f_calls), next(g_calls)), (stats.f_calls, stats.g_calls)
+
+
 def combine_level(problem: solver.SublistProblem, max_len: int) -> Iterator[Case]:
     """A whole-level combine equals the row combine on every row of a gathered level.
 
@@ -131,6 +143,7 @@ def registry() -> dict[str, Law]:
         "pascal-spine": pascal_spine,
         "shape-advance": shape_advance,
         "singleton-collapse": singleton_collapse,
+        "td-calls": td_calls,
         "up-flat": gathered_tips,
         "upgrade-level": upgrade_level,
         "upgrade-tips": upgrade_tips,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from math import factorial
 from typing import Callable, Generic, Iterable, Sequence, TypeVar
 
 from . import level_engine
@@ -60,9 +61,11 @@ class SublistProblem(Generic[X, Y]):
 
 @dataclass
 class RunStats:
-    """Counters observed during one evaluation.
+    """Call counts and level sizes of one evaluation.
 
-    ``peak_level_tips`` is the largest number of answers any level of the
+    td's ``f_calls`` and ``g_calls`` are its closed form, ``_td_calls``, which the
+    ``td-calls`` law checks against counted calls; bu's are read from its seed and
+    level calls. ``peak_level_tips`` is the largest number of answers any level of the
     bottom-up run held; top-down runs build no levels, so it stays 0.
     """
 
@@ -85,11 +88,19 @@ def td(n: int, problem: SublistProblem[X, Y], xs: Sequence[X]) -> Y:
     Literal and cache-free, with one length check: ``h [x] = f x``, ``h xs = g (map h (subs xs))``,
     and ``h [a, b, c, d]`` in one frame as ``g`` of its triples abc, abd, acd, bcd, each inline as
     ``g [g [f x, f y], g [f x, f z], g [f y, f z]]`` (no answer shared), all in the recurrence's
-    order. Calls: (n + 1)! ``base``, c(n) = 1 + (n + 1)·c(n − 1) ``combine``; for m = n + 1 ≥ 4:
-    Σ_{j=4..m} m!/j! frames (2,081 at m = 8), Σ_{j=5..m} m!/j! ``subs`` (401).
+    order. ``base`` and ``combine`` calls: ``_td_calls(n)``; for m = n + 1 ≥ 4: Σ_{j=4..m} m!/j!
+    frames (2,081 at m = 8), Σ_{j=5..m} m!/j! ``subs`` (401).
     """
     _check_index(n, xs)
     return _td(problem.base, problem.combine, xs)
+
+
+def _td_calls(n: int) -> tuple[int, int]:
+    """td's calls at index n: (n + 1)! ``base``, and c(n) = 1 + (n + 1)·c(n − 1), c(0) = 0, ``combine``."""
+    g_calls = 0
+    for m in range(1, n + 1):
+        g_calls = 1 + (m + 1) * g_calls
+    return factorial(n + 1), g_calls
 
 
 def _td(base: Callable[[X], Y], combine: Callable[[list[Y]], Y], xs: Sequence[X]) -> Y:
@@ -143,36 +154,31 @@ def run_with_stats(
 ) -> tuple[Y, RunStats]:
     """Evaluate like td/bu and report call counts alongside the value.
 
-    One counted problem wraps ``base``, ``combine`` and the level combine: td calls
-    only ``combine``, bu only the level combine, once per level, and the value is the
-    bare evaluators'. bu's level sizes are read from the calls: the seed level has one
-    tip per ``base`` call, every other level one per answer of its level combine.
+    td runs bare, and its counts are its closed form, ``_td_calls``, which the
+    ``td-calls`` law checks against counted calls. bu runs with ``base`` and its level
+    combine counted, and its level sizes are read from those calls: the seed level
+    has one tip per ``base`` call, every other level one per answer of its level
+    combine. Either way the value is the bare evaluator's.
 
     ``algo`` is an ``Algorithm`` or its value, ``"td"`` or ``"bu"``; anything
     else raises ValueError.
     """
-    algo = Algorithm(algo)
+    if Algorithm(algo) is Algorithm.TOP_DOWN:
+        return td(n, problem, xs), RunStats(*_td_calls(n))
     stats = RunStats()
     level_sizes: list[int] = []
-    base, combine, combine_level = problem.base, problem.combine, _level_combine(problem)
+    base, combine_level = problem.base, _level_combine(problem)
 
     def counted_base(x):
         stats.f_calls += 1
         return base(x)
-
-    def counted_combine(ys):
-        stats.g_calls += 1
-        return combine(ys)
 
     def counted_level(columns):
         answers = combine_level(columns)
         level_sizes.append(len(answers))
         return answers
 
-    counted = replace(problem, base=counted_base, combine=counted_combine, combine_level=counted_level)
-    if algo is Algorithm.TOP_DOWN:
-        return td(n, counted, xs), stats
-    value = bu(n, counted, xs)
+    value = bu(n, replace(problem, base=counted_base, combine_level=counted_level), xs)
     stats.g_calls = sum(level_sizes)
     stats.peak_level_tips = max([stats.f_calls, *level_sizes])
     return value, stats

@@ -70,6 +70,14 @@ MUTANTS = [
      f"            {_ABD}\n            {_ACD}\n            {_BCD}\n        ])\n",
      f"    if len(xs) == 3:\n        a, b, c = xs\n        return {_ABC[:-1]}\n",
      "td answers a four-element sublist in one frame, not a three-element one"),
+    # td's counts, reported from their closed form
+    ("solver.py", "        g_calls = 1 + (m + 1) * g_calls", "        g_calls = (m + 1) * g_calls",
+     "td's combine count adds one combine per sublist of two or more elements"),
+    ("solver.py", "    return factorial(n + 1), g_calls", "    return factorial(n), g_calls",
+     "td's base count is (n + 1)!, one per deletion order of n + 1 elements"),
+    ("solver.py", "        return td(n, problem, xs), RunStats(*_td_calls(n))",
+     "        td(n, problem, xs)\n        return td(n, problem, xs), RunStats(*_td_calls(n))",
+     "run_with_stats runs td once, making the calls it reports"),
     # broken code that earlier changes were checked against
     ("level_engine.py", "zip(*[kept] * k, range(-keep, 0))", "zip(range(-keep, 0), *[kept] * k)",
      "each gather plan row lists the immediate sublists in subs order"),
