@@ -5,7 +5,9 @@ cases: ``info`` names the input (and the level ``k``) a case was built
 from, and the law holds on that case when ``lhs == rhs``. ``replay`` runs
 one law, counts its cases and raises ``Counterexample`` at the first case
 whose sides differ. ``sublists verify`` prints what ``replay_all`` returns,
-and the acceptance tests replay the same registry.
+and the acceptance tests replay the same registry. ``run_with_stats``
+reports both evaluators' counts from their closed forms, and the ``calls``
+law checks them against the calls of the run it makes.
 
 Laws reach ``level_engine.up``, ``gather_plan`` and ``gather``, ``solver.td``,
 ``solver.bu`` and ``solver.run_with_stats`` through their modules rather than
@@ -112,14 +114,15 @@ def td_bu(problem: solver.SublistProblem, max_len: int) -> Iterator[Case]:
         yield {"input": xs}, lhs, solver.bu(length - 1, problem, xs)
 
 
-def td_calls(max_len: int) -> Iterator[Case]:
-    """The td calls run_with_stats reports are the calls its one td run makes."""
+def calls(max_len: int) -> Iterator[Case]:
+    """The calls run_with_stats reports are those of its one run; bu takes the row path, one combine per row."""
     for length in range(1, max_len + 1):
         xs = ascii_lowercase[:length]
-        f_calls, g_calls = itertools.count(), itertools.count()
-        counting = solver.SublistProblem("counting", lambda _: next(f_calls), lambda _: next(g_calls))
-        _, stats = solver.run_with_stats("td", length - 1, counting, xs)
-        yield {"input": xs}, (next(f_calls), next(g_calls)), (stats.f_calls, stats.g_calls)
+        for algo in solver.Algorithm:
+            f_calls, g_calls = itertools.count(), itertools.count()
+            counting = solver.SublistProblem("counting", lambda _: next(f_calls), lambda _: next(g_calls))
+            _, stats = solver.run_with_stats(algo, length - 1, counting, xs)
+            yield {"input": xs, "algo": algo.value}, (next(f_calls), next(g_calls)), (stats.f_calls, stats.g_calls)
 
 
 def combine_level(problem: solver.SublistProblem, max_len: int) -> Iterator[Case]:
@@ -140,10 +143,10 @@ def combine_level(problem: solver.SublistProblem, max_len: int) -> Iterator[Case
 def registry() -> dict[str, Law]:
     """Every law by name, in the sorted order ``verify`` reports them."""
     laws: dict[str, Law] = {
+        "calls": calls,
         "pascal-spine": pascal_spine,
         "shape-advance": shape_advance,
         "singleton-collapse": singleton_collapse,
-        "td-calls": td_calls,
         "up-flat": gathered_tips,
         "upgrade-level": upgrade_level,
         "upgrade-tips": upgrade_tips,

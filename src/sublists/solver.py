@@ -14,8 +14,8 @@ and by ``sublists verify``).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
-from math import factorial
+from dataclasses import dataclass
+from math import comb, factorial
 from typing import Callable, Generic, Iterable, Sequence, TypeVar
 
 from . import level_engine
@@ -61,12 +61,12 @@ class SublistProblem(Generic[X, Y]):
 
 @dataclass
 class RunStats:
-    """Call counts and level sizes of one evaluation.
+    """Call counts and level sizes of one evaluation, from their closed forms.
 
-    td's ``f_calls`` and ``g_calls`` are its closed form, ``_td_calls``, which the
-    ``td-calls`` law checks against counted calls; bu's are read from its seed and
-    level calls. ``peak_level_tips`` is the largest number of answers any level of the
-    bottom-up run held; top-down runs build no levels, so it stays 0.
+    ``f_calls`` counts ``base`` calls and ``g_calls`` ``combine`` calls, for bu one per row
+    whether or not a ``combine_level`` answers the rows; the ``calls`` law checks both against
+    the calls of a run. ``peak_level_tips`` is the largest number of answers any level of the
+    bottom-up run holds; top-down runs build no levels, so it stays 0.
     """
 
     f_calls: int = 0
@@ -101,6 +101,12 @@ def _td_calls(n: int) -> tuple[int, int]:
     for m in range(1, n + 1):
         g_calls = 1 + (m + 1) * g_calls
     return factorial(n + 1), g_calls
+
+
+def _bu_calls(n: int) -> tuple[int, int, int]:
+    """bu's counts at index n, for m = n + 1: m ``base``, 2^m − m − 1 ``combine``, widest level C(m, m // 2)."""
+    m = n + 1
+    return m, 2**m - m - 1, comb(m, m // 2)
 
 
 def _td(base: Callable[[X], Y], combine: Callable[[list[Y]], Y], xs: Sequence[X]) -> Y:
@@ -152,36 +158,15 @@ def bu(n: int, problem: SublistProblem[X, Y], xs: Sequence[X]) -> Y:
 def run_with_stats(
     algo: Algorithm | str, n: int, problem: SublistProblem[X, Y], xs: Sequence[X]
 ) -> tuple[Y, RunStats]:
-    """Evaluate like td/bu and report call counts alongside the value.
+    """Run ``problem`` bare through td or bu, once, and report its counts from their closed form.
 
-    td runs bare, and its counts are its closed form, ``_td_calls``, which the
-    ``td-calls`` law checks against counted calls. bu runs with ``base`` and its level
-    combine counted, and its level sizes are read from those calls: the seed level
-    has one tip per ``base`` call, every other level one per answer of its level
-    combine. Either way the value is the bare evaluator's.
-
-    ``algo`` is an ``Algorithm`` or its value, ``"td"`` or ``"bu"``; anything
-    else raises ValueError.
+    The value is the evaluator's own, and the counts are ``_td_calls(n)`` or ``_bu_calls(n)``;
+    the ``calls`` law checks each against the calls of the run this makes. ``algo`` is an
+    ``Algorithm`` or its value, ``"td"`` or ``"bu"``; anything else raises ValueError.
     """
     if Algorithm(algo) is Algorithm.TOP_DOWN:
         return td(n, problem, xs), RunStats(*_td_calls(n))
-    stats = RunStats()
-    level_sizes: list[int] = []
-    base, combine_level = problem.base, _level_combine(problem)
-
-    def counted_base(x):
-        stats.f_calls += 1
-        return base(x)
-
-    def counted_level(columns):
-        answers = combine_level(columns)
-        level_sizes.append(len(answers))
-        return answers
-
-    value = bu(n, replace(problem, base=counted_base, combine_level=counted_level), xs)
-    stats.g_calls = sum(level_sizes)
-    stats.peak_level_tips = max([stats.f_calls, *level_sizes])
-    return value, stats
+    return bu(n, problem, xs), RunStats(*_bu_calls(n))
 
 
 def solve(
@@ -189,7 +174,7 @@ def solve(
     xs: Sequence[X],
     algo: Algorithm | str = Algorithm.BOTTOM_UP,
 ) -> Y:
-    """Answer ``xs`` with the requested algorithm, as in ``run_with_stats``; EmptyInput if empty."""
+    """Answer ``xs`` with the requested algorithm, the run ``run_with_stats`` makes; EmptyInput if empty."""
     n = len(xs) - 1
     if Algorithm(algo) is Algorithm.TOP_DOWN:
         return td(n, problem, xs)

@@ -78,6 +78,16 @@ MUTANTS = [
     ("solver.py", "        return td(n, problem, xs), RunStats(*_td_calls(n))",
      "        td(n, problem, xs)\n        return td(n, problem, xs), RunStats(*_td_calls(n))",
      "run_with_stats runs td once, making the calls it reports"),
+    # bu's counts, reported from their closed form
+    ("solver.py", "    return m, 2**m - m - 1, comb(m, m // 2)", "    return m, 2**m - m, comb(m, m // 2)",
+     "bu's combine count is one per subsequence of two or more elements"),
+    ("solver.py", "    return m, 2**m - m - 1, comb(m, m // 2)", "    return m, 2**m - m - 1, comb(m, m // 2 + 1)",
+     "bu's widest level holds C(m, m // 2) answers"),
+    ("solver.py", "    return m, 2**m - m - 1, comb(m, m // 2)", "    return n, 2**m - m - 1, comb(m, m // 2)",
+     "bu's base count is m = n + 1, one per element"),
+    ("solver.py", "    return bu(n, problem, xs), RunStats(*_bu_calls(n))",
+     "    bu(n, problem, xs)\n    return bu(n, problem, xs), RunStats(*_bu_calls(n))",
+     "run_with_stats runs bu once, making the calls it reports"),
     # broken code that earlier changes were checked against
     ("level_engine.py", "zip(*[kept] * k, range(-keep, 0))", "zip(range(-keep, 0), *[kept] * k)",
      "each gather plan row lists the immediate sublists in subs order"),
@@ -85,8 +95,6 @@ MUTANTS = [
      "modsum's level combine weights its columns in order"),
     ("instances.py", "    return [(1 + a) % MODULUS for a in acc]", "    return [1 + a for a in acc]",
      "modsum's level combine reduces by the modulus"),
-    ("solver.py", "        level_sizes.append(len(answers))", "        level_sizes.append(len(columns))",
-     "run_with_stats counts a level's answers, not its columns"),
     ("solver.py", "    if n < 0:", "    if n < -1:",
      "an empty input is refused before any evaluator runs"),
 ]

@@ -49,9 +49,9 @@ def criterion(label: str, budget_s: float):
 
 
 # Every law's case count at 9 elements, each replayed by exactly one test below
-# (268 cases in all): the per-level laws take k = 1..n-1 on every n-element prefix,
-# n = 2..9; pascal-spine takes k = 1..n, singleton-collapse one case per n, and
-# td-bu and td-calls lengths 1..9.
+# (277 cases in all): the per-level laws take k = 1..n-1 on every n-element prefix,
+# n = 2..9; pascal-spine takes k = 1..n, singleton-collapse one case per n, td-bu
+# lengths 1..9, and calls lengths 1..9 once for each evaluator.
 LEVEL_LAWS = {
     "combine-level[modsum]": 36,
     "shape-advance": 36,
@@ -61,11 +61,11 @@ LEVEL_LAWS = {
 }
 COLLAPSE_LAWS = {"singleton-collapse": 8}
 OTHER_LAWS = {
+    "calls": 18,
     "pascal-spine": 44,
     "td-bu[maxmin]": 9,
     "td-bu[modsum]": 9,
     "td-bu[trace]": 9,
-    "td-calls": 9,
 }
 
 

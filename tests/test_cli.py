@@ -179,4 +179,4 @@ def test_readme_library_use_runs_as_stated():
     namespace: dict = {}
     exec(block, namespace)
     assert namespace["stats"].g_calls == 86
-    assert namespace["value"] == eval("solve(longest, [3, 1, 4, 1, 5])", namespace) == 1
+    assert namespace["value"] == eval("solve(widest, [3, 1, 4, 1, 5])", namespace) == 1

@@ -173,6 +173,17 @@ def test_run_with_stats_returns_the_bare_value():
         assert value == "((ab)(ac)(bc))"
 
 
+def test_run_with_stats_hands_the_callers_problem_to_one_evaluator_once(monkeypatch):
+    seen = []
+    for name in ["td", "bu"]:
+        monkeypatch.setattr(solver, name, lambda n, problem, xs, name=name: seen.append((name, problem)))
+    for algo in Algorithm:
+        seen.clear()
+        run_with_stats(algo, 2, TRACE, "abc")
+        ((name, problem),) = seen
+        assert name == algo.value and problem is TRACE, algo
+
+
 def test_an_algorithm_may_be_named_by_its_value():
     for algo in Algorithm:
         assert run_with_stats(algo.value, 2, TRACE, "abc") == run_with_stats(algo, 2, TRACE, "abc")
