@@ -1,18 +1,23 @@
 """Built-in problems and the parsing of their inputs.
 
-Three problems ship with the package:
+Three problems ship with the package. Each is specified by its one-line
+``base`` and ``combine``; the code below computes the same values.
 
-* ``trace``: answers are parenthesized strings recording exactly how the
-  recurrence combined things, so any reordering or dropped branch changes
-  the output. The canary for evaluation order.
-* ``modsum``: order-sensitive modular arithmetic; each combined value is
-  weighted by its 1-based position before summing.
-* ``maxmin``: max minus min, order-insensitive on purpose, as a control.
+* ``trace``: ``base(x) = str(x)``, ``combine(ys) = "(" + "".join(ys) + ")"``.
+  Answers are parenthesized strings recording exactly how the recurrence
+  combined things, so any reordering or dropped branch changes the output.
+  The canary for evaluation order.
+* ``modsum``: ``base(x) = x % MODULUS``,
+  ``combine(ys) = (1 + sum(i * y for i, y in enumerate(ys, 1))) % MODULUS``.
+  Order-sensitive modular arithmetic: each combined value is weighted by its
+  1-based position before summing.
+* ``maxmin``: ``base(x) = x``, ``combine(ys) = max(ys) - min(ys)``.
+  Order-insensitive on purpose, as a control.
 """
 
 from __future__ import annotations
 
-from itertools import count, repeat
+from itertools import repeat
 from operator import add, mul
 from string import ascii_lowercase
 from typing import Iterable
@@ -20,10 +25,6 @@ from typing import Iterable
 from .solver import SublistProblem
 
 MODULUS = 1_000_003
-
-
-def _trace_base(x) -> str:
-    return str(x)
 
 
 def _trace_combine(ys: list[str]) -> str:
@@ -40,8 +41,13 @@ def _modsum_base(x: int) -> int:
 
 
 def _modsum_combine(ys: list[int]) -> int:
-    # 1-based position weights keep this order-sensitive
-    return (1 + sum(map(mul, ys, count(1)))) % MODULUS
+    # a loop, because td calls this c(n) times, mostly on two answers, where it is cheaper
+    # than a sum over a map: the suffix sums s, added up, weight each y by its 1-based position
+    s = t = 0
+    for y in reversed(ys):
+        s += y
+        t += s
+    return (1 + t) % MODULUS
 
 
 def _modsum_combine_level(columns: list[Iterable[int]]) -> list[int]:
@@ -58,10 +64,18 @@ def _maxmin_base(x: int) -> int:
 
 
 def _maxmin_combine(ys: list[int]) -> int:
-    return max(ys) - min(ys)
+    # a loop, because td calls this c(n) times, mostly on two answers, where the builtins
+    # max and min cost more per call than one pass of comparisons
+    lo = hi = ys[0]
+    for y in ys:
+        if y < lo:
+            lo = y
+        elif y > hi:
+            hi = y
+    return hi - lo
 
 
-TRACE = SublistProblem("trace", _trace_base, _trace_combine, input_kind="chars")
+TRACE = SublistProblem("trace", str, _trace_combine, input_kind="chars")
 MODSUM = SublistProblem(
     "modsum", _modsum_base, _modsum_combine, input_kind="ints", combine_level=_modsum_combine_level
 )

@@ -88,6 +88,23 @@ MUTANTS = [
     ("solver.py", "    return bu(n, problem, xs), RunStats(*_bu_calls(n))",
      "    bu(n, problem, xs)\n    return bu(n, problem, xs), RunStats(*_bu_calls(n))",
      "run_with_stats runs bu once, making the calls it reports"),
+    # the built-in problems' loops, held by their one-line definitions in test_instances.py;
+    # equivalent mutants are not listed: elif -> if and < -> <= (or > -> >=) in maxmin change
+    # nothing, since lo <= hi holds from the start, where both are ys[0]
+    ("instances.py", "    for y in reversed(ys):\n", "    for y in ys:\n",
+     "modsum's combine weights its answers by position from the left"),
+    ("instances.py", "        t += s\n", "        t += y\n",
+     "modsum's combine adds up the suffix sums, not the answers"),
+    ("instances.py", "    return (1 + t) % MODULUS", "    return t % MODULUS",
+     "modsum's combine adds one before the modulus"),
+    ("instances.py", "    return hi - lo", "    return lo - hi",
+     "maxmin's combine is max minus min"),
+    ("instances.py", "            lo = y\n", "            hi = y\n",
+     "maxmin's combine lowers lo on a smaller answer"),
+    ("instances.py", "            hi = y\n", "            lo = y\n",
+     "maxmin's combine raises hi on a larger answer"),
+    ("instances.py", 'SublistProblem("trace", str,', 'SublistProblem("trace", repr,',
+     "trace's base is str"),
     # broken code that earlier changes were checked against
     ("level_engine.py", "zip(*[kept] * k, range(-keep, 0))", "zip(range(-keep, 0), *[kept] * k)",
      "each gather plan row lists the immediate sublists in subs order"),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sublists import (
     MAXMIN,
@@ -32,6 +33,23 @@ def test_combine_functions():
     assert MODSUM.base(MODULUS + 5) == 5
     assert MAXMIN.combine([5, 2, 9]) == 7
     assert MAXMIN.base(-3) == -3
+
+
+# small values repeat often; unbounded ones run negative and past MODULUS
+answer_lists = st.lists(st.integers(-3, 3) | st.integers(), min_size=1, max_size=20)
+
+
+@given(ys=answer_lists)
+def test_int_combines_meet_their_one_line_definitions(ys):
+    # the definitions in the instances docstring are the reference; td and bu share each
+    # combine, so their agreement cannot catch a wrong one
+    assert MAXMIN.combine(ys) == max(ys) - min(ys)
+    assert MODSUM.combine(ys) == (1 + sum(i * y for i, y in enumerate(ys, 1))) % MODULUS
+
+
+@given(x=st.characters() | st.integers())
+def test_trace_base_meets_its_one_line_definition(x):
+    assert TRACE.base(x) == str(x)
 
 
 def test_parse_input():
