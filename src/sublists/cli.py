@@ -4,14 +4,15 @@ Subcommands:
 
 * ``run``: evaluate one problem on one input, top-down, bottom-up, or
   both with an EQUAL/DIFFER verdict. Inputs are capped at ``RUN_MAX_INPUT``
-  elements, at ``TD_MAX_INPUT`` wherever ``td`` runs (``verify`` and
-  ``bench`` keep ``td`` within it too) and at ``TRACE_MAX_INPUT`` for ``trace``.
+  elements, at ``TD_MAX_INPUT`` wherever ``td`` runs (``verify`` keeps
+  ``td`` within it too) and at ``TRACE_MAX_INPUT`` for ``trace``.
 * ``verify``: replay the law registry (``sublists.laws``) over alphabet
   prefixes and print per-law pass counts; the first counterexample stops
   the sweep.
 * ``dump``: print a choice tree (or its raised form) as canonical JSON.
   Inputs longer than ``RUN_MAX_INPUT`` are refused before any tree is built.
-* ``bench``: emit CSV rows comparing the two evaluators' combine-call counts.
+* ``bench``: emit CSV rows of the two evaluators' combine-call counts, from
+  ``solver.predicted_cost``, running neither; rows stop at ``TD_MAX_INPUT``.
 
 Exit codes: 0 success, 1 a law or equivalence check failed, 2 usage
 error (unknown problem, malformed input, out-of-range parameters).
@@ -173,18 +174,17 @@ def cmd_dump(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    # row n runs td on n + 1 elements
+    # row n counts the calls on n + 1 elements, up to td's cap
     if not 0 <= args.max_len <= TD_MAX_INPUT - 1:
         return _usage(f"--max-len must be between 0 and {TD_MAX_INPUT - 1}")
-    problem = instances.get_problem(args.problem)
-    if problem is None:
+    # the counts are the same for every problem, but the name must still be a registered one
+    if instances.get_problem(args.problem) is None:
         return _usage(f"unknown problem {args.problem!r}")
     print("n,td_g_calls,bu_g_calls")
     for n in range(0, args.max_len + 1):
-        xs = instances.example_input(problem, n + 1)
-        _, td_stats = solver.run_with_stats(solver.Algorithm.TOP_DOWN, n, problem, xs)
-        _, bu_stats = solver.run_with_stats(solver.Algorithm.BOTTOM_UP, n, problem, xs)
-        print(f"{n},{td_stats.g_calls},{bu_stats.g_calls}")
+        td_cost = solver.predicted_cost(solver.Algorithm.TOP_DOWN, n)
+        bu_cost = solver.predicted_cost(solver.Algorithm.BOTTOM_UP, n)
+        print(f"{n},{td_cost.g_calls},{bu_cost.g_calls}")
     return 0
 
 

@@ -108,7 +108,7 @@ def parse_input(problem: SublistProblem, text: str):
 
 
 def example_input(problem: SublistProblem, length: int):
-    """A distinct-symbol input of the given length, for sweeps and bench."""
+    """A distinct-symbol input of the given length, for sweeps."""
     if problem.input_kind == "ints":
         return list(range(1, length + 1))
     if length > len(ascii_lowercase):

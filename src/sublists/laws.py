@@ -6,8 +6,8 @@ from, and the law holds on that case when ``lhs == rhs``. ``replay`` runs
 one law, counts its cases and raises ``Counterexample`` at the first case
 whose sides differ. ``sublists verify`` prints what ``replay_all`` returns,
 and the acceptance tests replay the same registry. ``run_with_stats``
-reports both evaluators' counts from their closed forms, and the ``calls``
-law checks them against the calls of the run it makes.
+reports both evaluators' counts from their closed forms, ``predicted_cost``,
+and the ``calls`` law checks them against the calls of the run it makes.
 
 Laws reach ``level_engine.up``, ``gather_plan`` and ``gather``, ``solver.td``,
 ``solver.bu`` and ``solver.run_with_stats`` through their modules rather than

@@ -61,17 +61,17 @@ class SublistProblem(Generic[X, Y]):
 
 @dataclass
 class RunStats:
-    """Call counts and level sizes of one evaluation, from their closed forms.
+    """Call counts and level sizes of one evaluation, as ``predicted_cost`` gives them.
 
     ``f_calls`` counts ``base`` calls and ``g_calls`` ``combine`` calls, for bu one per row
     whether or not a ``combine_level`` answers the rows; the ``calls`` law checks both against
     the calls of a run. ``peak_level_tips`` is the largest number of answers any level of the
-    bottom-up run holds; top-down runs build no levels, so it stays 0.
+    bottom-up run holds; top-down runs build no levels, so theirs is 0.
     """
 
-    f_calls: int = 0
-    g_calls: int = 0
-    peak_level_tips: int = 0
+    f_calls: int
+    g_calls: int
+    peak_level_tips: int
 
 
 def _check_index(n: int, xs: Sequence) -> None:
@@ -88,25 +88,11 @@ def td(n: int, problem: SublistProblem[X, Y], xs: Sequence[X]) -> Y:
     Literal and cache-free, with one length check: ``h [x] = f x``, ``h xs = g (map h (subs xs))``,
     and ``h [a, b, c, d]`` in one frame as ``g`` of its triples abc, abd, acd, bcd, each inline as
     ``g [g [f x, f y], g [f x, f z], g [f y, f z]]`` (no answer shared), all in the recurrence's
-    order. ``base`` and ``combine`` calls: ``_td_calls(n)``; for m = n + 1 ≥ 4: Σ_{j=4..m} m!/j!
-    frames (2,081 at m = 8), Σ_{j=5..m} m!/j! ``subs`` (401).
+    order. ``base`` and ``combine`` calls: ``predicted_cost("td", n)``; for m = n + 1 ≥ 4:
+    Σ_{j=4..m} m!/j! frames (2,081 at m = 8), Σ_{j=5..m} m!/j! ``subs`` (401).
     """
     _check_index(n, xs)
     return _td(problem.base, problem.combine, xs)
-
-
-def _td_calls(n: int) -> tuple[int, int]:
-    """td's calls at index n: (n + 1)! ``base``, and c(n) = 1 + (n + 1)·c(n − 1), c(0) = 0, ``combine``."""
-    g_calls = 0
-    for m in range(1, n + 1):
-        g_calls = 1 + (m + 1) * g_calls
-    return factorial(n + 1), g_calls
-
-
-def _bu_calls(n: int) -> tuple[int, int, int]:
-    """bu's counts at index n, for m = n + 1: m ``base``, 2^m − m − 1 ``combine``, widest level C(m, m // 2)."""
-    m = n + 1
-    return m, 2**m - m - 1, comb(m, m // 2)
 
 
 def _td(base: Callable[[X], Y], combine: Callable[[list[Y]], Y], xs: Sequence[X]) -> Y:
@@ -155,18 +141,33 @@ def bu(n: int, problem: SublistProblem[X, Y], xs: Sequence[X]) -> Y:
     return answer
 
 
+def predicted_cost(algo: Algorithm | str, n: int) -> RunStats:
+    """A run's counts at index n, from their closed forms: the library's one statement of either cost.
+
+    On m = n + 1 elements td makes m! ``base`` and c(n) = 1 + (n + 1)·c(n − 1), c(0) = 0, ``combine``
+    calls and builds no levels; bu makes m ``base`` calls, one ``combine`` per subsequence of two or
+    more elements (2^m − m − 1), and its widest level holds C(m, m // 2) answers. ``algo`` is as for
+    ``run_with_stats``.
+    """
+    m = n + 1
+    if Algorithm(algo) is Algorithm.TOP_DOWN:
+        g_calls = 0
+        for j in range(2, m + 1):
+            g_calls = 1 + j * g_calls
+        return RunStats(f_calls=factorial(m), g_calls=g_calls, peak_level_tips=0)
+    return RunStats(f_calls=m, g_calls=2**m - m - 1, peak_level_tips=comb(m, m // 2))
+
+
 def run_with_stats(
     algo: Algorithm | str, n: int, problem: SublistProblem[X, Y], xs: Sequence[X]
 ) -> tuple[Y, RunStats]:
-    """Run ``problem`` bare through td or bu, once, and report its counts from their closed form.
+    """Run ``problem`` bare through td or bu, once: the evaluator's value and ``predicted_cost(algo, n)``.
 
-    The value is the evaluator's own, and the counts are ``_td_calls(n)`` or ``_bu_calls(n)``;
-    the ``calls`` law checks each against the calls of the run this makes. ``algo`` is an
+    The ``calls`` law checks the counts against the calls of the run this makes. ``algo`` is an
     ``Algorithm`` or its value, ``"td"`` or ``"bu"``; anything else raises ValueError.
     """
-    if Algorithm(algo) is Algorithm.TOP_DOWN:
-        return td(n, problem, xs), RunStats(*_td_calls(n))
-    return bu(n, problem, xs), RunStats(*_bu_calls(n))
+    evaluate = td if Algorithm(algo) is Algorithm.TOP_DOWN else bu
+    return evaluate(n, problem, xs), predicted_cost(algo, n)
 
 
 def solve(
@@ -174,8 +175,5 @@ def solve(
     xs: Sequence[X],
     algo: Algorithm | str = Algorithm.BOTTOM_UP,
 ) -> Y:
-    """Answer ``xs`` with the requested algorithm, the run ``run_with_stats`` makes; EmptyInput if empty."""
-    n = len(xs) - 1
-    if Algorithm(algo) is Algorithm.TOP_DOWN:
-        return td(n, problem, xs)
-    return bu(n, problem, xs)
+    """Answer ``xs`` with the requested algorithm: the value of ``run_with_stats``; EmptyInput if empty."""
+    return run_with_stats(algo, len(xs) - 1, problem, xs)[0]

@@ -71,22 +71,20 @@ MUTANTS = [
      f"    if len(xs) == 3:\n        a, b, c = xs\n        return {_ABC[:-1]}\n",
      "td answers a four-element sublist in one frame, not a three-element one"),
     # td's counts, reported from their closed form
-    ("solver.py", "        g_calls = 1 + (m + 1) * g_calls", "        g_calls = (m + 1) * g_calls",
+    ("solver.py", "            g_calls = 1 + j * g_calls", "            g_calls = j * g_calls",
      "td's combine count adds one combine per sublist of two or more elements"),
-    ("solver.py", "    return factorial(n + 1), g_calls", "    return factorial(n), g_calls",
+    ("solver.py", "RunStats(f_calls=factorial(m),", "RunStats(f_calls=factorial(n),",
      "td's base count is (n + 1)!, one per deletion order of n + 1 elements"),
-    ("solver.py", "        return td(n, problem, xs), RunStats(*_td_calls(n))",
-     "        td(n, problem, xs)\n        return td(n, problem, xs), RunStats(*_td_calls(n))",
+    ("solver.py", "    evaluate = td if", "    evaluate = (lambda *args: [td(*args), td(*args)][1]) if",
      "run_with_stats runs td once, making the calls it reports"),
     # bu's counts, reported from their closed form
-    ("solver.py", "    return m, 2**m - m - 1, comb(m, m // 2)", "    return m, 2**m - m, comb(m, m // 2)",
+    ("solver.py", "g_calls=2**m - m - 1,", "g_calls=2**m - m,",
      "bu's combine count is one per subsequence of two or more elements"),
-    ("solver.py", "    return m, 2**m - m - 1, comb(m, m // 2)", "    return m, 2**m - m - 1, comb(m, m // 2 + 1)",
+    ("solver.py", "peak_level_tips=comb(m, m // 2)", "peak_level_tips=comb(m, m // 2 + 1)",
      "bu's widest level holds C(m, m // 2) answers"),
-    ("solver.py", "    return m, 2**m - m - 1, comb(m, m // 2)", "    return n, 2**m - m - 1, comb(m, m // 2)",
+    ("solver.py", "RunStats(f_calls=m,", "RunStats(f_calls=n,",
      "bu's base count is m = n + 1, one per element"),
-    ("solver.py", "    return bu(n, problem, xs), RunStats(*_bu_calls(n))",
-     "    bu(n, problem, xs)\n    return bu(n, problem, xs), RunStats(*_bu_calls(n))",
+    ("solver.py", "else bu\n", "else (lambda *args: [bu(*args), bu(*args)][1])\n",
      "run_with_stats runs bu once, making the calls it reports"),
     # the built-in problems' loops, held by their one-line definitions in test_instances.py;
     # equivalent mutants are not listed: elif -> if and < -> <= (or > -> >=) in maxmin change
@@ -114,6 +112,32 @@ MUTANTS = [
      "modsum's level combine reduces by the modulus"),
     ("solver.py", "    if n < 0:", "    if n < -1:",
      "an empty input is refused before any evaluator runs"),
+    ("solver.py", "expects length {1 + n}", "expects length {1 - n}",
+     "a length mismatch names the length the index expects"),
+    # both sides of every CLI cap: the refusing side is a corpus record, the accepting side a
+    # corpus record (bench) or a request that reaches a patched function (test_cli.py)
+    ("cli.py", '"input is empty")\n    if len(xs) > RUN_MAX_INPUT:', '"input is empty")\n    if len(xs) >= RUN_MAX_INPUT:',
+     "run --algo bu accepts 20 elements"),
+    ("cli.py", 'args.algo != "bu" and len(xs) > TD_MAX_INPUT', 'args.algo != "bu" and len(xs) >= TD_MAX_INPUT',
+     "run accepts 10 elements wherever td runs"),
+    ("cli.py", "len(xs) > TRACE_MAX_INPUT", "len(xs) >= TRACE_MAX_INPUT",
+     "run accepts 11 trace characters"),
+    ("cli.py", "    xs = args.input\n    if len(xs) > RUN_MAX_INPUT:", "    xs = args.input\n    if len(xs) >= RUN_MAX_INPUT:",
+     "dump accepts 20 characters"),
+    ("cli.py", "1 <= args.max_len <= TD_MAX_INPUT:", "1 <= args.max_len < TD_MAX_INPUT:",
+     "verify accepts --max-len 10"),
+    ("cli.py", "0 <= args.max_len <= TD_MAX_INPUT - 1:", "0 <= args.max_len < TD_MAX_INPUT - 1:",
+     "bench accepts --max-len 9"),
+    ("cli.py", "args.max_len <= TD_MAX_INPUT - 1:", "args.max_len <= TD_MAX_INPUT - 2:",
+     "bench's cap is one under td's"),
+    ("cli.py", 'verify.add_argument("--max-len", dest="max_len", type=int, default=9)',
+     'verify.add_argument("--max-len", dest="max_len", type=int, default=10)',
+     "verify replays to 9 elements by default"),
+    ("cli.py", 'bench.add_argument("--max-len", dest="max_len", type=int, default=9)',
+     'bench.add_argument("--max-len", dest="max_len", type=int, default=10)',
+     "bench prints rows to 9 by default"),
+    ("cli.py", "{td_cost.g_calls},{bu_cost.g_calls}", "{bu_cost.g_calls},{td_cost.g_calls}",
+     "bench prints td's column before bu's"),
 ]
 
 

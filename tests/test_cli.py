@@ -1,5 +1,5 @@
-"""CLI behavior beyond the byte corpus: fault reporting, refusals before any work,
-outputs checked against independent oracles, and the README's examples."""
+"""CLI behavior beyond the byte corpus: fault reporting, refusals before any work, requests
+accepted at each cap, outputs checked against independent oracles, and the README's examples."""
 
 from __future__ import annotations
 
@@ -9,10 +9,12 @@ from array import array
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from helpers import bu_g_calls, prefix, td_g_calls
-from test_cli_corpus import REQUESTS, recorded
+from test_cli_corpus import REQUESTS, recorded, replay
 from sublists import TRACE, Node, OutOfRange, ch, map_tree, solve, subs
-from sublists import cli, combinatorics, encode_tree, instances, level_engine, solver
+from sublists import cli, combinatorics, encode_tree, instances, laws, level_engine, solver
 from sublists.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -47,6 +49,45 @@ def test_a_domain_error_inside_a_command_exits_2(capsys, monkeypatch):
 
     monkeypatch.setattr(solver, "run_with_stats", refuse)
     assert run_cli(capsys, "run", "--problem", "trace", "--input", "abc") == (2, "", "error: boom\n")
+
+
+class Reached(Exception):
+    """Raised by a patched function in place of its work: the request got past every cap."""
+
+
+def reached(*args):
+    raise Reached(*args)
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (["run", "--problem", "modsum", "--input", ",".join(map(str, range(1, 21))), "--algo", "bu"],
+     solver, "run_with_stats"),
+    (["run", "--problem", "modsum", "--input", ",".join(map(str, range(1, 11))), "--algo", "both"],
+     solver, "run_with_stats"),
+    (["run", "--problem", "trace", "--input", "abcdefghijk", "--algo", "bu"], solver, "run_with_stats"),
+    (["verify", "--max-len", "10"], laws, "replay_all"),
+    (["dump", "--k", "1", "--input", prefix(20)], combinatorics, "ch"),
+])
+def test_a_request_at_each_cap_is_accepted(argv, module, name, monkeypatch):
+    # the refusing side of each cap is a corpus record; this side would take seconds to run
+    monkeypatch.setattr(module, name, reached)
+    with pytest.raises(Reached):
+        main(argv)
+
+
+def test_verify_replays_to_9_elements_by_default(monkeypatch):
+    monkeypatch.setattr(laws, "replay_all", reached)
+    with pytest.raises(Reached) as info:
+        main(["verify"])
+    assert info.value.args == (9,)
+
+
+def test_bench_runs_no_evaluator(monkeypatch):
+    for module, name in [(solver, "td"), (solver, "bu"), (instances, "example_input")]:
+        monkeypatch.setattr(module, name, reached)
+    # every problem up to --max-len 9, and a bare bench
+    for record in recorded("bench"):
+        assert replay(record["argv"]) == record, record["argv"]
 
 
 def test_run_refuses_long_trace_inputs_before_solving(capsys, monkeypatch):

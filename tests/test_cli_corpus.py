@@ -49,8 +49,9 @@ def _requests() -> dict[str, list[list[str]]]:
     bench = [
         ["bench", "--max-len", str(m), "--problem", problem]
         for problem in ["trace", "modsum", "maxmin"]
-        for m in range(0, 8)
+        for m in range(0, 10)
     ]
+    bench.append(["bench"])  # every default
     dump = [["dump", "--k", "1", "--input", "yz"]]
     dump += [
         ["dump", "--k", str(k), "--input", "abcde", "--stage", stage]

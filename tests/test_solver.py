@@ -113,7 +113,7 @@ def test_td_calls_subs_on_five_or_more_elements_and_on_inputs_under_four(monkeyp
 
 
 def test_length_mismatch_is_rejected():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(LengthMismatch, match="index 2 expects length 3, got 2"):
         td(2, TRACE, "ab")
     with pytest.raises(LengthMismatch):
         bu(1, TRACE, "abc")
@@ -193,6 +193,8 @@ def test_an_algorithm_may_be_named_by_its_value():
     for evaluate in [partial(run_with_stats, "nonsense", 2), partial(solve, algo="nonsense")]:
         with pytest.raises(ValueError):
             evaluate(TRACE, "abc")
+    with pytest.raises(ValueError):
+        solver.predicted_cost("nonsense", 2)
 
 
 def test_f_call_counts():
