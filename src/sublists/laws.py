@@ -9,10 +9,10 @@ and the acceptance tests replay the same registry. ``run_with_stats``
 reports both evaluators' counts from their closed forms, ``predicted_cost``,
 and the ``calls`` law checks them against the calls of the run it makes.
 
-Laws reach ``level_engine.up``, ``gather_plan`` and ``gather``, ``solver.td``,
-``solver.bu`` and ``solver.run_with_stats`` through their modules rather than
-binding them at import time, so a replacement patched into one of them is
-exactly what gets checked.
+Laws reach ``level_engine.up``, ``gather_plan``, ``gather`` and
+``gather_blocks``, ``solver.td``, ``solver.bu`` and ``solver.run_with_stats``
+through their modules rather than binding them at import time, so a
+replacement patched into one of them is exactly what gets checked.
 """
 
 from __future__ import annotations
@@ -65,12 +65,16 @@ def upgrade_tips(max_len: int) -> Iterator[Case]:
 
 
 def gathered_tips(max_len: int) -> Iterator[Case]:
-    """Gathering the level's tips by the length's plan gives the raised tree's tips."""
+    """Gathering the level's tips by the length's plan, or in blocks split by clause 4 down to
+    plans of two elements, gives the raised tree's tips."""
     for n, xs in _prefixes(max_len):
         for k in range(1, n):
             t, plan = comb.ch(k, xs), level_engine.gather_plan(n)[k - 1]
-            lhs = [list(row) for row in zip(*level_engine.gather(tree.tips(t), plan, k + 1))]
-            yield {"input": xs, "k": k}, lhs, tree.tips(level_engine.up(t))
+            rows = zip(*level_engine.gather(tree.tips(t), plan, k + 1))
+            blocks = level_engine.gather_blocks(tree.tips(t), k, n, level_engine.gather_plan(2))
+            split = [row for columns in blocks for row in zip(*columns)]
+            lhs = [[list(row) for row in rows], [list(row) for row in split]]
+            yield {"input": xs, "k": k}, lhs, 2 * [tree.tips(level_engine.up(t))]
 
 
 def singleton_collapse(max_len: int) -> Iterator[Case]:

@@ -7,8 +7,9 @@ like ``ch(k + 1, xs)`` in which each tip carries the *list* of values of
 that (k+1)-subsequence's immediate sublists, in ``subs`` order. That list
 is exactly the argument a sublist recurrence's combining function wants,
 so one ``up`` plus one tip-wise map advances a whole level. ``bu`` gathers
-by ``gather_plan`` instead, ``up`` compiled to positions, and ``up`` is
-the specification that the law ``up-flat`` checks each plan against.
+by ``gather_blocks`` instead: by ``gather_plan``, ``up`` compiled to
+positions, up to 12 elements, and by ``up``'s clause 4 above. ``up`` is
+the specification that the law ``up-flat`` checks both against.
 
 ``up`` rearranges values purely by position; it never looks at them. Its
 domain is trees of shape (k, n) with 1 <= k < n. The shape (n, n) and
@@ -84,11 +85,12 @@ def up(t: BinomialTree[A]) -> BinomialTree[list[A]]:
     raise TypeError(f"not a tree: {t!r}")
 
 
+_STORED = 12  # the longest stored plan; longer levels are gathered by up's clause 4
 _table: tuple[array, ...] = ()  # the plans for k = 0..M-1 of the longest length M built so far
 
 
 def gather_plan(m: int) -> tuple[memoryview, ...]:
-    """``up`` compiled for an m-element input: where each raised row gathers from.
+    """``up`` compiled for an m-element input, m <= 12: where each raised row gathers from.
 
     Entry k - 1 is level k's plan, for k = 1..m-1: read-only positions
     counted from the level's end (p - C(m, k)), row-major with k + 1 to a
@@ -98,24 +100,25 @@ def gather_plan(m: int) -> tuple[memoryview, ...]:
 
     ``choose`` lists the subsequences without the first element last, so
     plan (k, m) is a tail of plan (k, M) for every M > m. One table, for the
-    longest length M asked for so far, stays resident (M * 2**(M-1)
-    positions: 480 KiB at 15, 40 MiB at 20); a shorter length gets views of
-    its tails and builds nothing. A longer one grows it a length at a time
-    by ``up``'s clause 4, node(zip snoc (up t) u, up u), on positions: plan
-    (k, M+1) is plan (k-1, M) shifted by -C(M, k), row j snoc'd with u's tip
-    j - C(M, k), then plan (k, M). Each grown table is published in one assignment.
+    longest length M asked for so far, stays resident (M * 2**(M-1) 16-bit
+    positions, 48 KiB at 12); a shorter length gets views of its tails and
+    builds nothing. A longer one grows it a length at a time by ``up``'s
+    clause 4, node(zip snoc (up t) u, up u), on positions: plan (k, M+1) is
+    plan (k-1, M) shifted by -C(M, k), row j snoc'd with u's tip j - C(M, k),
+    then plan (k, M). Each grown table is published in one assignment. A
+    longer input than 12 is gathered by ``gather_blocks``; here it raises
+    OutOfRange.
     """
+    if m > _STORED:
+        raise OutOfRange(f"gather plans are stored up to {_STORED} elements, not {m}")
     global _table
     table = _table
     for mp in range(len(table) + 1, m + 1):
-        tc = _typecode(mp)
-        if table and table[0].typecode != tc:  # positions outgrow 16 bits at m' = 18
-            table = tuple(array(tc, plan) for plan in table)
-        plans = [array(tc, [-1]) * mp]  # k = 0: every singleton gathers the one answer of level 0
+        plans = [array("h", [-1]) * mp]  # k = 0: every singleton gathers the one answer of level 0
         for k in range(1, mp):
             keep = comb(mp - 1, k)  # rows that keep the first element, from (k-1, m'-1)
             kept = map(add, table[k - 1], repeat(-keep))
-            plan = array(tc, chain.from_iterable(zip(*[kept] * k, range(-keep, 0))))
+            plan = array("h", chain.from_iterable(zip(*[kept] * k, range(-keep, 0))))
             plans.append(plan + table[k] if k < mp - 1 else plan)  # (m'-1, m'-1) has no rows
         table = _table = tuple(plans)
     views = (memoryview(plan).toreadonly() for plan in table[1:m])
@@ -130,9 +133,42 @@ def gather(level: Sequence[A], plan: Sequence[int], width: int) -> list[Iterator
     return [map(level.__getitem__, plan[i::width]) for i in range(width)]
 
 
-def _typecode(m: int) -> str:
-    """The narrowest array typecode that holds every position of an m-element plan."""
-    return "h" if comb(m, m // 2) <= 32768 else "i"
+def gather_blocks(level: list[A], k: int, m: int, plans: Sequence[Sequence[int]]) -> Iterator[list[Iterator[A]]]:
+    """Level k of an m-element input raised as lazy blocks of consecutive rows, k + 1 columns each.
+
+    ``plans`` is ``gather_plan(min(m, s))`` for the stored length s, 12; the laws pass plans of
+    2 elements, so that every longer level splits. Up to s elements the one block is gathered by
+    plan (k, m), a tail of plan k. Above s the level splits by ``up``'s clause 4 on its first
+    element: its first C(m-1, k-1) answers X keep that element and the rest T drop it. The rows
+    that keep it take their first k columns from X raised as level k-1 of m-1 (for k = 1, X's one
+    answer repeated) and their column k from T in order; the rows that drop it are T raised as
+    level k of m-1.
+    """
+    return (columns for _, columns in _blocks(level, 0, k, m, plans))
+
+
+def _blocks(level: list[A], start: int, k: int, m: int, plans: Sequence[Sequence[int]]) -> Iterator[tuple]:
+    """``gather_blocks`` on the level ``level[start:]``, each block with its row count.
+
+    Plans count positions from the end and T is a tail, so T is raised in place; only X, and the
+    part of T that is a block's column k, are sliced.
+    """
+    if m <= len(plans) + 1:
+        rows = comb(m, k + 1)
+        plan = plans[k - 1]
+        yield rows, gather(level, plan[len(plan) - (k + 1) * rows :], k + 1)
+        return
+    cut = comb(m - 1, k - 1)  # X = level[start:start + cut], T = level[start + cut:]
+    if k == 1:
+        yield m - 1, [repeat(level[start], m - 1), level[start + cut :]]
+    else:
+        t = start + cut
+        for rows, columns in _blocks(level[start:t], 0, k - 1, m - 1, plans):
+            columns.append(level[t : t + rows])
+            yield rows, columns
+            t += rows
+    if k < m - 1:  # the last level's one row keeps the first element
+        yield from _blocks(level, start + cut, k, m - 1, plans)
 
 
 def upgrade_oracle(k: int, xs: S) -> list[list[S]]:

@@ -41,14 +41,17 @@ class SublistProblem(Generic[X, Y]):
     ``input_kind`` tells the CLI how to parse and generate inputs
     ("chars" for character strings, "ints" for comma-separated integers).
 
-    ``combine_level``, when given, is ``combine`` for a whole level at
-    once: it receives the level's argument columns (column i holds every
-    row's i-th answer), equal-length lazy iterables each consumed once,
-    and returns the rows' answers in order. On an m-element input a level
-    can hold C(m, m // 2) rows, so it should consume the columns lazily and
-    build only the list of answers. It must equal ``list(map(combine, rows))``;
-    ``bu`` uses it in place of ``combine``, while ``td`` uses only ``combine``,
-    which stays the definition. ``replace(problem, combine=...)`` keeps the
+    ``combine_level``, when given, is ``combine`` for a block of
+    consecutive rows of a level at once: it receives the block's argument
+    columns (column i holds every row's i-th answer), equal-length lazy
+    iterables each consumed once, and returns the rows' answers in order.
+    ``bu`` may call it several times per level, once per block; up to 12
+    elements a level is one block. On an m-element input a level can hold
+    C(m, m // 2) rows, so it should consume the columns lazily and build
+    only the list of answers. Each call must equal
+    ``list(map(combine, rows))`` for its block; ``bu`` uses it in place of
+    ``combine``, while ``td`` uses only ``combine``, which stays the
+    definition. ``replace(problem, combine=...)`` keeps the
     old ``combine_level``, so clear or replace it in the same call.
     """
 
@@ -120,19 +123,26 @@ def bu(n: int, problem: SublistProblem[X, Y], xs: Sequence[X]) -> Y:
 
     Level k lists the answers for the k-element subsequences of ``xs`` in
     ``choose`` order; the seed level applies ``base`` to every element.
-    Then n times the level is gathered by its ``level_engine.gather_plan``
-    (``up`` compiled to positions counted from the level's end, views of one
-    shared table; the tree ``up`` is its specification) into k + 1 lazy
-    argument columns and combined, until one answer, for ``xs`` itself, is
-    left. The columns go to ``combine_level`` when the problem has one, and
-    otherwise every row goes to ``combine``. Either way every subsequence of
+    Then n times the level is raised by ``level_engine.gather_blocks`` into
+    blocks of consecutive rows, each k + 1 lazy argument columns, and
+    combined, until one answer, for ``xs`` itself, is left. Up to 12
+    elements a level is one block, gathered by the stored
+    ``level_engine.gather_plan`` (``up`` compiled to positions; the tree
+    ``up`` is its specification); a longer one splits by ``up``'s clause 4
+    down to 12. Each block goes to ``combine_level`` when the problem has
+    one, and otherwise every row goes to ``combine``; the level's answers
+    are the blocks' answers in order. Either way every subsequence of
     length j gets exactly one answer, from j answers.
     """
     _check_index(n, xs)
     combine_level = _level_combine(problem)
     level = [problem.base(x) for x in xs]
-    for k, plan in enumerate(level_engine.gather_plan(n + 1), start=1):
-        raised = combine_level(level_engine.gather(level, plan, k + 1))
+    plans = level_engine.gather_plan(min(n + 1, level_engine._STORED))
+    for k in range(1, n + 1):
+        blocks = level_engine.gather_blocks(level, k, n + 1, plans)
+        raised = combine_level(next(blocks))
+        for columns in blocks:
+            raised += combine_level(columns)
         # a list frees its items last to first; reversed, the spent answers go in the order
         # they were made, so the allocator merges them and gives the memory back
         level.reverse()

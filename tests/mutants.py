@@ -106,6 +106,25 @@ MUTANTS = [
     # broken code that earlier changes were checked against
     ("level_engine.py", "zip(*[kept] * k, range(-keep, 0))", "zip(range(-keep, 0), *[kept] * k)",
      "each gather plan row lists the immediate sublists in subs order"),
+    # the split of a level above the stored length by up's clause 4, held by the up-flat law's
+    # blocks split down to two elements and by bu above 12 elements
+    ("level_engine.py", "    cut = comb(m - 1, k - 1)  #", "    cut = comb(m - 1, k - 1) + 1  #",
+     "the split cuts a level after the C(m-1, k-1) answers that keep the first element"),
+    ("level_engine.py", "columns.append(level[t : t + rows])", "columns.append(level[start : start + rows])",
+     "the rows that keep the first element take their last column from T, not X"),
+    ("level_engine.py",
+     "    if k == 1:\n        yield m - 1, [repeat(level[start], m - 1), level[start + cut :]]\n"
+     "    else:\n        t = start + cut\n        for rows, columns in _blocks(level[start:t], 0, k - 1, m - 1, plans):\n"
+     "            columns.append(level[t : t + rows])\n            yield rows, columns\n            t += rows\n"
+     "    if k < m - 1:  # the last level's one row keeps the first element\n"
+     "        yield from _blocks(level, start + cut, k, m - 1, plans)\n",
+     "    if k < m - 1:\n        yield from _blocks(level, start + cut, k, m - 1, plans)\n"
+     "    if k == 1:\n        yield m - 1, [repeat(level[start], m - 1), level[start + cut :]]\n"
+     "    else:\n        t = start + cut\n        for rows, columns in _blocks(level[start:t], 0, k - 1, m - 1, plans):\n"
+     "            columns.append(level[t : t + rows])\n            yield rows, columns\n            t += rows\n",
+     "the rows that keep the first element come before the rows that drop it"),
+    ("level_engine.py", "repeat(level[start], m - 1)", "repeat(level[start], m - 2)",
+     "at k = 1 the first element's answer is repeated once per later element"),
     ("instances.py", "    acc = iter(columns[0])\n", "    columns = columns[::-1]\n    acc = iter(columns[0])\n",
      "modsum's level combine weights its columns in order"),
     ("instances.py", "    return [(1 + a) % MODULUS for a in acc]", "    return [1 + a for a in acc]",

@@ -7,24 +7,25 @@ import json
 import sys
 import threading
 import tracemalloc
-from array import array
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import gather, prefix, tree_of_shape
+from helpers import gather, tree_of_shape
 from sublists import (
     TRACE,
     MalformedLevel,
     Node,
     OutOfRange,
+    SublistProblem,
     Tip,
     ch,
     check_shape,
     choose,
     encode_tree,
     map_tree,
+    solve,
     subs,
     td,
     tips,
@@ -242,28 +243,29 @@ def test_concurrent_readers_see_only_whole_plans(monkeypatch):
     assert wrong == []
 
 
-def test_gather_plan_positions_fit_their_typecode(monkeypatch):
-    # a level holds at most C(m, m // 2) answers; signed 16-bit positions from the end last through 17
-    assert [level_engine._typecode(m) for m in (1, 16, 17, 18, 20)] == ["h", "h", "h", "i", "i"]
-    assert comb(17, 8) <= 32768 < comb(18, 9)
+def test_solve_on_20_ints_leaves_only_the_12_element_table_resident(monkeypatch):
+    # above 12 elements levels split by up's clause 4, so no longer plan is built or asked for
+    with pytest.raises(OutOfRange):
+        level_engine.gather_plan(13)
+    # the problem passes column 0 through, so the gather is all that runs; the window's ends
+    # collect, as in the shared-table test above
+    first = SublistProblem("first", int, lambda ys: ys[0], combine_level=lambda columns: list(columns[0]))
     monkeypatch.setattr(level_engine, "_table", ())
-    plans = level_engine.gather_plan(15)
-    assert {plan.format for plan in plans} == {"h"}
-    # the table holds m * 2**(m-1) positions, 480 KiB at 15 elements; bu never gathers the k = 0 plan
-    assert sum(len(plan) for plan in level_engine._table) == 15 * 2**14 == 245_760
-    assert sum(plan.nbytes for plan in plans) == 491_490 <= 480 * 1024
-
-
-def test_the_table_widens_to_32_bits_when_it_grows_to_18(monkeypatch):
-    # the one growth that converts the resident table, from 16- to 32-bit positions
-    monkeypatch.setattr(level_engine, "_table", ())
-    before = [array("i", plan) for plan in level_engine.gather_plan(17)]
-    plans = level_engine.gather_plan(18)
-    assert {plan.typecode for plan in level_engine._table} == {"i"}
-    assert [array("i", plan) for plan in level_engine.gather_plan(17)] == before
-    xs = prefix(18)
-    for k in (1, 2, 16, 17):
-        assert gather(tips(ch(k, xs)), plans[k - 1], k + 1) == tips(up(ch(k, xs))), k
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        assert solve(first, list(range(1, 21))) == 1
+        gc.collect()
+        resident = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    table = level_engine._table
+    assert len(table) == 12
+    assert {plan.typecode for plan in table} == {"h"}
+    assert sum(plan.itemsize * len(plan) for plan in table) == 2 * 12 * 2**11
+    alone = sys.getsizeof(table) + sum(map(sys.getsizeof, table))
+    assert alone <= resident < alone + 1024
 
 
 @given(d=st.data(), kn=shape_indices)

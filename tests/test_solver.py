@@ -238,27 +238,28 @@ def test_modsum_values_stay_below_the_modulus():
     assert all(0 <= v < MODULUS for v in seen)
 
 
-@pytest.mark.parametrize("length", [12, 13, 16])
+@pytest.mark.parametrize("length", [12, 13, 14, 16, 20])
 def test_modsum_column_path_matches_row_path_and_memo_beyond_verify(length):
-    # the widest levels, C(12, 6) = 924 up to C(16, 8) = 12,870 rows, are out of the reach of
-    # `verify`, whose longest input, 10 elements, raises at most C(10, 5) = 252 rows
+    # the widest levels, C(12, 6) = 924 up to C(20, 10) = 184,756 rows, are out of the reach of
+    # `verify`, whose longest input, 10 elements, raises at most C(10, 5) = 252 rows; above 12
+    # elements every level is gathered in blocks split by up's clause 4
     rng = random.Random(length)
     xs = [rng.randint(-(10**6), 10**6) for _ in range(length)]
-    rows_only = replace(MODSUM, combine_level=None)
-    value = bu(length - 1, MODSUM, xs)
-    assert value == bu(length - 1, rows_only, xs)
-    if length == 12:
-        assert value == memo_solve(MODSUM, xs)
-    columns_run = run_with_stats(Algorithm.BOTTOM_UP, length - 1, MODSUM, xs)
-    assert columns_run == run_with_stats(Algorithm.BOTTOM_UP, length - 1, rows_only, xs)
-    assert columns_run[0] == value
+    for problem in (MODSUM, MAXMIN):
+        run = run_with_stats(Algorithm.BOTTOM_UP, length - 1, problem, xs)
+        if problem.combine_level:
+            assert run == run_with_stats(Algorithm.BOTTOM_UP, length - 1, replace(problem, combine_level=None), xs)
+        else:  # maxmin takes the row path and ignores order; reversed, every block holds other answers
+            assert run[0] == bu(length - 1, problem, xs[::-1])
+        if length <= 14:
+            assert run[0] == memo_solve(problem, xs), problem.name
 
 
 def test_modsum_level_combine_builds_no_column_lists():
     # a combine_level that builds a list per column peaks about 1.5x over the row path here
     rng = random.Random(16)
     xs = [rng.randint(-(10**6), 10**6) for _ in range(16)]
-    level_engine.gather_plan(16)  # warm: neither peak should count building the plans
+    level_engine.gather_plan(12)  # warm: neither peak should count building the plans
 
     def peak(problem):
         tracemalloc.start()
