@@ -15,7 +15,8 @@ Subcommands:
   ``solver.predicted_cost``, running neither; rows stop at ``TD_MAX_INPUT``.
 
 Exit codes: 0 success, 1 a law or equivalence check failed, 2 usage
-error (unknown problem, malformed input, out-of-range parameters).
+error (unknown problem, malformed input, out-of-range parameters), 141
+stdout's reader left before the output was all written (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 
 from . import combinatorics as comb
@@ -194,10 +196,15 @@ _HANDLERS = {"run": cmd_run, "verify": cmd_verify, "dump": cmd_dump, "bench": cm
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # a reader gone early is met here, not in the flush at exit
     except SublistsError as exc:
         # domain errors reaching here mean the request itself was unusable
         return _usage(str(exc))
+    except BrokenPipeError:  # the rest goes to devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

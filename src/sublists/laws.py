@@ -9,10 +9,9 @@ and the acceptance tests replay the same registry. ``run_with_stats``
 reports both evaluators' counts from their closed forms, ``predicted_cost``,
 and the ``calls`` law checks them against the calls of the run it makes.
 
-Laws reach ``level_engine.up``, ``gather_plan``, ``gather`` and
-``gather_blocks``, ``solver.td``, ``solver.bu`` and ``solver.run_with_stats``
-through their modules rather than binding them at import time, so a
-replacement patched into one of them is exactly what gets checked.
+Laws reach ``level_engine.up``, ``gather_plan`` and ``gather_blocks`` (their one way to gather),
+``solver.td``, ``solver.bu`` and ``solver.run_with_stats`` through their modules rather than
+binding them at import time, so a replacement patched into one of them is exactly what gets checked.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import json
 import math
 import random
 from string import ascii_lowercase
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from . import combinatorics as comb
 from . import core_tree as tree
@@ -64,16 +63,20 @@ def upgrade_tips(max_len: int) -> Iterator[Case]:
             yield {"input": xs, "k": k}, lhs, level_engine.upgrade_oracle(k, xs)
 
 
+def _raised(level: list, k: int, n: int, combine_level: Callable[[list], Iterable]) -> list[list]:
+    """Level k of an n-element input raised by ``gather_blocks`` and answered block by block by
+    ``combine_level``, twice: by the length's stored plans, and by clause 4 alone, with no plan."""
+    gathers = (level_engine.gather_blocks(level, k, n, plans) for plans in (level_engine.gather_plan(n), ()))
+    return [[y for columns in blocks for y in combine_level(columns)] for blocks in gathers]
+
+
 def gathered_tips(max_len: int) -> Iterator[Case]:
-    """Gathering the level's tips by the length's plan, or in blocks split by clause 4 down to
-    plans of two elements, gives the raised tree's tips."""
+    """Gathering the level's tips in blocks, by the length's plans or by clause 4 alone, gives the
+    raised tree's tips."""
     for n, xs in _prefixes(max_len):
         for k in range(1, n):
-            t, plan = comb.ch(k, xs), level_engine.gather_plan(n)[k - 1]
-            rows = zip(*level_engine.gather(tree.tips(t), plan, k + 1))
-            blocks = level_engine.gather_blocks(tree.tips(t), k, n, level_engine.gather_plan(2))
-            split = [row for columns in blocks for row in zip(*columns)]
-            lhs = [[list(row) for row in rows], [list(row) for row in split]]
+            t = comb.ch(k, xs)
+            lhs = _raised(tree.tips(t), k, n, lambda columns: map(list, zip(*columns)))
             yield {"input": xs, "k": k}, lhs, 2 * [tree.tips(level_engine.up(t))]
 
 
@@ -130,7 +133,7 @@ def calls(max_len: int) -> Iterator[Case]:
 
 
 def combine_level(problem: solver.SublistProblem, max_len: int) -> Iterator[Case]:
-    """A whole-level combine equals the row combine on every row of a gathered level.
+    """A block combine equals the row combine on every row of a level's blocks, as ``_raised`` gathers them.
 
     The level holds seeded ints over [0, MODULUS), the answers of the integer problems.
     """
@@ -138,10 +141,8 @@ def combine_level(problem: solver.SublistProblem, max_len: int) -> Iterator[Case
     for n, xs in _prefixes(max_len):
         for k in range(1, n):
             level = [rng.randrange(instances.MODULUS) for _ in range(math.comb(n, k))]
-            plan = level_engine.gather_plan(n)[k - 1]
-            rows = zip(*level_engine.gather(level, plan, k + 1))
-            lhs = problem.combine_level(level_engine.gather(level, plan, k + 1))
-            yield {"input": xs, "k": k}, lhs, [problem.combine(list(row)) for row in rows]
+            rows = _raised(level, k, n, lambda columns: [problem.combine(list(row)) for row in zip(*columns)])
+            yield {"input": xs, "k": k}, _raised(level, k, n, problem.combine_level), rows
 
 
 def registry() -> dict[str, Law]:

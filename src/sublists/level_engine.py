@@ -90,27 +90,26 @@ _table: tuple[array, ...] = ()  # the plans for k = 0..M-1 of the longest length
 
 
 def gather_plan(m: int) -> tuple[memoryview, ...]:
-    """``up`` compiled for an m-element input, m <= 12: where each raised row gathers from.
+    """``up`` compiled for s = min(m, 12) elements: where each raised row gathers from.
 
-    Entry k - 1 is level k's plan, for k = 1..m-1: read-only positions
-    counted from the level's end (p - C(m, k)), row-major with k + 1 to a
+    Entry k - 1 is level k's plan, for k = 1..s-1: read-only positions
+    counted from the level's end (p - C(s, k)), row-major with k + 1 to a
     row. Row j lists the positions in level k (``choose`` order) of the
     (j+1)-th (k+1)-subsequence's immediate sublists in ``subs`` order, so
     gathering level k by it yields the tips of ``up``, the specification.
+    Plans are stored up to 12 elements; ``gather_blocks`` splits a longer
+    input's levels down to 12 and gathers the parts by these plans.
 
     ``choose`` lists the subsequences without the first element last, so
-    plan (k, m) is a tail of plan (k, M) for every M > m. One table, for the
+    plan (k, s) is a tail of plan (k, M) for every M > s. One table, for the
     longest length M asked for so far, stays resident (M * 2**(M-1) 16-bit
     positions, 48 KiB at 12); a shorter length gets views of its tails and
     builds nothing. A longer one grows it a length at a time by ``up``'s
     clause 4, node(zip snoc (up t) u, up u), on positions: plan (k, M+1) is
     plan (k-1, M) shifted by -C(M, k), row j snoc'd with u's tip j - C(M, k),
-    then plan (k, M). Each grown table is published in one assignment. A
-    longer input than 12 is gathered by ``gather_blocks``; here it raises
-    OutOfRange.
+    then plan (k, M). Each grown table is published in one assignment.
     """
-    if m > _STORED:
-        raise OutOfRange(f"gather plans are stored up to {_STORED} elements, not {m}")
+    m = min(m, _STORED)
     global _table
     table = _table
     for mp in range(len(table) + 1, m + 1):
@@ -125,24 +124,16 @@ def gather_plan(m: int) -> tuple[memoryview, ...]:
     return tuple(view[len(view) - (k + 1) * comb(m, k + 1) :] for k, view in enumerate(views, start=1))
 
 
-def gather(level: Sequence[A], plan: Sequence[int], width: int) -> list[Iterator[A]]:
-    """The ``width`` lazy argument columns that ``plan``, row-major, picks out of ``level``.
-
-    Column i holds every row's i-th argument, so zipped, the columns are the rows.
-    """
-    return [map(level.__getitem__, plan[i::width]) for i in range(width)]
-
-
 def gather_blocks(level: list[A], k: int, m: int, plans: Sequence[Sequence[int]]) -> Iterator[list[Iterator[A]]]:
     """Level k of an m-element input raised as lazy blocks of consecutive rows, k + 1 columns each.
 
-    ``plans`` is ``gather_plan(min(m, s))`` for the stored length s, 12; the laws pass plans of
-    2 elements, so that every longer level splits. Up to s elements the one block is gathered by
-    plan (k, m), a tail of plan k. Above s the level splits by ``up``'s clause 4 on its first
-    element: its first C(m-1, k-1) answers X keep that element and the rest T drop it. The rows
-    that keep it take their first k columns from X raised as level k-1 of m-1 (for k = 1, X's one
-    answer repeated) and their column k from T in order; the rows that drop it are T raised as
-    level k of m-1.
+    ``plans`` is ``gather_plan(m)``, or ``()`` for no plan. When the plans are for m elements the
+    level is one block, gathered by plan k: column i takes every row's i-th position. A longer
+    level splits by ``up``'s clause 4 on its first element: its first C(m-1, k-1) answers X keep
+    that element and the rest T drop it. The rows that keep it take their first k columns from X
+    raised as level k-1 of m-1 (for k = 1, X's one answer repeated) and their column k from T in
+    order; the rows that drop it are T raised as level k of m-1. So above 12 elements the level
+    splits down to 12, and with ``()`` it splits all the way down, by clause 4 alone.
     """
     return (columns for _, columns in _blocks(level, 0, k, m, plans))
 
@@ -153,10 +144,9 @@ def _blocks(level: list[A], start: int, k: int, m: int, plans: Sequence[Sequence
     Plans count positions from the end and T is a tail, so T is raised in place; only X, and the
     part of T that is a block's column k, are sliced.
     """
-    if m <= len(plans) + 1:
-        rows = comb(m, k + 1)
+    if m == len(plans) + 1:
         plan = plans[k - 1]
-        yield rows, gather(level, plan[len(plan) - (k + 1) * rows :], k + 1)
+        yield comb(m, k + 1), [map(level.__getitem__, plan[i :: k + 1]) for i in range(k + 1)]
         return
     cut = comb(m - 1, k - 1)  # X = level[start:start + cut], T = level[start + cut:]
     if k == 1:

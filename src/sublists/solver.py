@@ -126,10 +126,10 @@ def bu(n: int, problem: SublistProblem[X, Y], xs: Sequence[X]) -> Y:
     Then n times the level is raised by ``level_engine.gather_blocks`` into
     blocks of consecutive rows, each k + 1 lazy argument columns, and
     combined, until one answer, for ``xs`` itself, is left. Up to 12
-    elements a level is one block, gathered by the stored
-    ``level_engine.gather_plan`` (``up`` compiled to positions; the tree
-    ``up`` is its specification); a longer one splits by ``up``'s clause 4
-    down to 12. Each block goes to ``combine_level`` when the problem has
+    elements a level is one block, gathered by the stored plans,
+    ``level_engine.gather_plan(n + 1)`` (``up`` compiled to positions; the
+    tree ``up`` is their specification); a longer one splits by ``up``'s
+    clause 4 down to 12. Each block goes to ``combine_level`` when the problem has
     one, and otherwise every row goes to ``combine``; the level's answers
     are the blocks' answers in order. Either way every subsequence of
     length j gets exactly one answer, from j answers.
@@ -137,7 +137,7 @@ def bu(n: int, problem: SublistProblem[X, Y], xs: Sequence[X]) -> Y:
     _check_index(n, xs)
     combine_level = _level_combine(problem)
     level = [problem.base(x) for x in xs]
-    plans = level_engine.gather_plan(min(n + 1, level_engine._STORED))
+    plans = level_engine.gather_plan(n + 1)
     for k in range(1, n + 1):
         blocks = level_engine.gather_blocks(level, k, n + 1, plans)
         raised = combine_level(next(blocks))

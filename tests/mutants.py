@@ -107,7 +107,7 @@ MUTANTS = [
     ("level_engine.py", "zip(*[kept] * k, range(-keep, 0))", "zip(range(-keep, 0), *[kept] * k)",
      "each gather plan row lists the immediate sublists in subs order"),
     # the split of a level above the stored length by up's clause 4, held by the up-flat law's
-    # blocks split down to two elements and by bu above 12 elements
+    # blocks split by clause 4 alone, with no plan, and by bu above 12 elements
     ("level_engine.py", "    cut = comb(m - 1, k - 1)  #", "    cut = comb(m - 1, k - 1) + 1  #",
      "the split cuts a level after the C(m-1, k-1) answers that keep the first element"),
     ("level_engine.py", "columns.append(level[t : t + rows])", "columns.append(level[start : start + rows])",
@@ -125,6 +125,19 @@ MUTANTS = [
      "the rows that keep the first element come before the rows that drop it"),
     ("level_engine.py", "repeat(level[start], m - 1)", "repeat(level[start], m - 2)",
      "at k = 1 the first element's answer is repeated once per later element"),
+    # the one way into the stored plans, gather_plan's clamp and gather_blocks' columns, held by
+    # the plan tests and the up-flat and combine-level laws; one mutant here is equivalent and not
+    # listed: == -> <= in _blocks' base changes nothing, since every caller passes plans of exactly
+    # the length the split reaches (gather_plan(m) for m <= 12 at the top, 12 from above, and ()
+    # never reaches m = 1)
+    ("level_engine.py", "    m = min(m, _STORED)\n", "    m = min(m + 1, _STORED)\n",
+     "gather_plan answers for min(m, 12) elements, not one more"),
+    ("level_engine.py", "    m = min(m, _STORED)\n", "    m = min(m, _STORED - 1)\n",
+     "the stored table reaches 12 elements (the values stay right, split one level more)"),
+    ("level_engine.py", "plan[i :: k + 1]", "plan[i :: k]",
+     "column i takes every row's i-th position, k + 1 to a row"),
+    ("laws.py", "(level_engine.gather_plan(n), ())", "(level_engine.gather_plan(n),)",
+     "the laws also gather by clause 4 alone, with no plan, as bu does above 12 elements"),
     ("instances.py", "    acc = iter(columns[0])\n", "    columns = columns[::-1]\n    acc = iter(columns[0])\n",
      "modsum's level combine weights its columns in order"),
     ("instances.py", "    return [(1 + a) % MODULUS for a in acc]", "    return [1 + a for a in acc]",

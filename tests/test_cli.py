@@ -4,7 +4,10 @@ accepted at each cap, outputs checked against independent oracles, and the READM
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 from array import array
 from dataclasses import replace
 from pathlib import Path
@@ -18,6 +21,7 @@ from sublists import cli, combinatorics, encode_tree, instances, laws, level_eng
 from sublists.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = README.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -125,6 +129,19 @@ def test_a_broken_gather_plan_is_caught(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "run", "--problem", "trace", "--input", "abc", "--algo", "both")
     assert code == 1
     assert "verdict: DIFFER" in out
+
+
+def test_a_reader_that_stops_early_ends_the_command_quietly():
+    # the two answers hold 196,484 characters, more than a pipe buffers, so the command is still
+    # writing when its reader goes
+    argv = ["run", "--problem", "trace", "--input", "abcdefgh", "--algo", "both"]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    with subprocess.Popen([sys.executable, "-m", "sublists.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(20) == b"td result: (((((((ab"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 def test_dump_after_up_matches_the_library(capsys):

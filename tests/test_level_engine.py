@@ -7,6 +7,7 @@ import json
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import gather, tree_of_shape
 from sublists import (
+    MODSUM,
     TRACE,
     MalformedLevel,
     Node,
@@ -33,7 +35,7 @@ from sublists import (
     upgrade_oracle,
     zip_tree_with,
 )
-from sublists import laws, level_engine
+from sublists import instances, laws, level_engine
 from sublists.core_tree import snoc
 
 
@@ -95,6 +97,16 @@ def test_a_counterexample_names_its_law_and_renders_both_sides(monkeypatch):
     }
 
 
+def test_the_combine_level_law_replays_the_blocks_split_by_clause_4():
+    # only the blocks split by clause 4 hold list columns, so a combine_level that reverses them
+    # is right on every block gathered by a plan; the law must still catch it, from abc on
+    def reversing(columns):
+        return instances._modsum_combine_level([c[::-1] if isinstance(c, list) else c for c in columns])
+
+    cases = laws.combine_level(replace(MODSUM, combine_level=reversing), 6)
+    assert next(info for info, lhs, rhs in cases if lhs != rhs) == {"input": "abc", "k": 1}
+
+
 def test_up_names_clause_2_on_a_left_subtree_that_cannot_collapse():
     # right child is a tip, so clause 2 raises the left subtree and
     # demands a tip back; this left subtree raises to a node instead
@@ -151,7 +163,7 @@ def test_raise_then_combine_advances_a_level_of_solved_values():
 shape_indices = st.sampled_from([(k, n) for n in range(2, 7) for k in range(1, n)])
 
 
-@given(d=st.data(), km=st.sampled_from([(k, m) for m in range(2, 10) for k in range(1, m)]))
+@given(d=st.data(), km=st.sampled_from([(k, m) for m in range(2, level_engine._STORED + 1) for k in range(1, m)]))
 @settings(deadline=None)
 def test_gather_by_plan_is_up_on_the_tips(d, km):
     # naturality on the flat form: the raise moves values by position only,
@@ -160,6 +172,15 @@ def test_gather_by_plan_is_up_on_the_tips(d, km):
     values = d.draw(st.lists(st.integers(-100, 100), min_size=comb(m, k), max_size=comb(m, k)))
     t = tree_of_shape(k, m, iter(values).__next__)
     assert gather(values, level_engine.gather_plan(m)[k - 1], k + 1) == tips(up(t))
+
+
+def test_every_stored_plan_is_up_on_distinct_tips():
+    # on distinct values the gathered rows name every position, so this pins each stored plan whole
+    for m in range(2, level_engine._STORED + 1):
+        for k in range(1, m):
+            values = list(range(comb(m, k)))
+            t = tree_of_shape(k, m, iter(values).__next__)
+            assert gather(values, level_engine.gather_plan(m)[k - 1], k + 1) == tips(up(t)), (k, m)
 
 
 def test_gather_plans_are_tails_of_one_shared_table(monkeypatch):
@@ -244,9 +265,9 @@ def test_concurrent_readers_see_only_whole_plans(monkeypatch):
 
 
 def test_solve_on_20_ints_leaves_only_the_12_element_table_resident(monkeypatch):
-    # above 12 elements levels split by up's clause 4, so no longer plan is built or asked for
-    with pytest.raises(OutOfRange):
-        level_engine.gather_plan(13)
+    # above 12 elements levels split by up's clause 4 down to 12, so a longer length gets the
+    # 12-element plans and no longer plan is built
+    assert [list(plan) for plan in level_engine.gather_plan(20)] == [list(plan) for plan in level_engine.gather_plan(12)]
     # the problem passes column 0 through, so the gather is all that runs; the window's ends
     # collect, as in the shared-table test above
     first = SublistProblem("first", int, lambda ys: ys[0], combine_level=lambda columns: list(columns[0]))
