@@ -9,8 +9,8 @@ and the acceptance tests replay the same registry. ``run_with_stats``
 reports both evaluators' counts from their closed forms, ``predicted_cost``,
 and the ``calls`` law checks them against the calls of the run it makes.
 
-Laws reach ``level_engine.up``, ``gather_plan`` and ``gather_blocks`` (their one way to gather),
-``solver.td``, ``solver.bu`` and ``solver.run_with_stats`` through their modules rather than
+Laws reach ``level_engine.up``, ``gather_plan`` and ``raise_level`` (the one level step, ``bu``'s
+too), ``solver.td``, ``solver.bu`` and ``solver.run_with_stats`` through their modules rather than
 binding them at import time, so a replacement patched into one of them is exactly what gets checked.
 """
 
@@ -20,9 +20,8 @@ import functools
 import itertools
 import json
 import math
-import random
 from string import ascii_lowercase
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterator
 
 from . import combinatorics as comb
 from . import core_tree as tree
@@ -63,11 +62,11 @@ def upgrade_tips(max_len: int) -> Iterator[Case]:
             yield {"input": xs, "k": k}, lhs, level_engine.upgrade_oracle(k, xs)
 
 
-def _raised(level: list, k: int, n: int, combine_level: Callable[[list], Iterable]) -> list[list]:
-    """Level k of an n-element input raised by ``gather_blocks`` and answered block by block by
-    ``combine_level``, twice: by the length's stored plans, and by clause 4 alone, with no plan."""
-    gathers = (level_engine.gather_blocks(level, k, n, plans) for plans in (level_engine.gather_plan(n), ()))
-    return [[y for columns in blocks for y in combine_level(columns)] for blocks in gathers]
+def _raised(level: list, k: int, n: int, combine_level: Callable[[list], list]) -> list[list]:
+    """Level k of an n-element input raised by ``raise_level`` with ``combine_level``, twice: by the
+    length's stored plans, and by clause 4 alone, with no plan."""
+    return [level_engine.raise_level(level, k, n, plans, combine_level)
+            for plans in (level_engine.gather_plan(n), ())]
 
 
 def gathered_tips(max_len: int) -> Iterator[Case]:
@@ -76,7 +75,7 @@ def gathered_tips(max_len: int) -> Iterator[Case]:
     for n, xs in _prefixes(max_len):
         for k in range(1, n):
             t = comb.ch(k, xs)
-            lhs = _raised(tree.tips(t), k, n, lambda columns: map(list, zip(*columns)))
+            lhs = _raised(tree.tips(t), k, n, lambda columns: list(map(list, zip(*columns))))
             yield {"input": xs, "k": k}, lhs, 2 * [tree.tips(level_engine.up(t))]
 
 
@@ -133,16 +132,15 @@ def calls(max_len: int) -> Iterator[Case]:
 
 
 def combine_level(problem: solver.SublistProblem, max_len: int) -> Iterator[Case]:
-    """A block combine equals the row combine on every row of a level's blocks, as ``_raised`` gathers them.
-
-    The level holds seeded ints over [0, MODULUS), the answers of the integer problems.
-    """
-    rng = random.Random(0)
-    for n, xs in _prefixes(max_len):
+    """A block combine equals the row combine on every row of the problem's own levels, as ``_raised``
+    gathers them: ``base`` on ``example_input``, each level raised by the row combine."""
+    for n in range(2, max_len + 1):
+        xs = instances.example_input(problem, n)
+        level = [problem.base(x) for x in xs]
         for k in range(1, n):
-            level = [rng.randrange(instances.MODULUS) for _ in range(math.comb(n, k))]
             rows = _raised(level, k, n, lambda columns: [problem.combine(list(row)) for row in zip(*columns)])
             yield {"input": xs, "k": k}, _raised(level, k, n, problem.combine_level), rows
+            level = rows[0]
 
 
 def registry() -> dict[str, Law]:

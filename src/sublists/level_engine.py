@@ -6,10 +6,10 @@ subsequences of ``xs`` (in generation order), it returns a tree shaped
 like ``ch(k + 1, xs)`` in which each tip carries the *list* of values of
 that (k+1)-subsequence's immediate sublists, in ``subs`` order. That list
 is exactly the argument a sublist recurrence's combining function wants,
-so one ``up`` plus one tip-wise map advances a whole level. ``bu`` gathers
-by ``gather_blocks`` instead: by ``gather_plan``, ``up`` compiled to
-positions, up to 12 elements, and by ``up``'s clause 4 above. ``up`` is
-the specification that the law ``up-flat`` checks both against.
+so one ``up`` plus one tip-wise map advances a whole level. ``bu`` and the
+laws take that step by ``raise_level``, which gathers by ``gather_plan``
+(``up`` compiled to positions) up to 12 elements and by ``up``'s clause 4
+above; ``up`` is the specification the law ``up-flat`` checks both against.
 
 ``up`` rearranges values purely by position; it never looks at them. Its
 domain is trees of shape (k, n) with 1 <= k < n. The shape (n, n) and
@@ -24,7 +24,7 @@ from array import array
 from itertools import chain, repeat
 from math import comb
 from operator import add
-from typing import Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .combinatorics import choose, subs
 from .core_tree import (
@@ -97,7 +97,7 @@ def gather_plan(m: int) -> tuple[memoryview, ...]:
     row. Row j lists the positions in level k (``choose`` order) of the
     (j+1)-th (k+1)-subsequence's immediate sublists in ``subs`` order, so
     gathering level k by it yields the tips of ``up``, the specification.
-    Plans are stored up to 12 elements; ``gather_blocks`` splits a longer
+    Plans are stored up to 12 elements; ``raise_level`` splits a longer
     input's levels down to 12 and gathers the parts by these plans.
 
     ``choose`` lists the subsequences without the first element last, so
@@ -124,22 +124,26 @@ def gather_plan(m: int) -> tuple[memoryview, ...]:
     return tuple(view[len(view) - (k + 1) * comb(m, k + 1) :] for k, view in enumerate(views, start=1))
 
 
-def gather_blocks(level: list[A], k: int, m: int, plans: Sequence[Sequence[int]]) -> Iterator[list[Iterator[A]]]:
-    """Level k of an m-element input raised as lazy blocks of consecutive rows, k + 1 columns each.
+def raise_level(level: list[A], k: int, m: int, plans: Sequence[Sequence[int]], combine_level: Callable) -> list:
+    """Level k of an m-element input raised a step: ``combine_level``'s lists for its blocks, joined in order.
 
-    ``plans`` is ``gather_plan(m)``, or ``()`` for no plan. When the plans are for m elements the
-    level is one block, gathered by plan k: column i takes every row's i-th position. A longer
-    level splits by ``up``'s clause 4 on its first element: its first C(m-1, k-1) answers X keep
-    that element and the rest T drop it. The rows that keep it take their first k columns from X
-    raised as level k-1 of m-1 (for k = 1, X's one answer repeated) and their column k from T in
-    order; the rows that drop it are T raised as level k of m-1. So above 12 elements the level
-    splits down to 12, and with ``()`` it splits all the way down, by clause 4 alone.
+    ``plans`` is ``gather_plan(m)``, or ``()`` for no plan. A block is consecutive rows as k + 1 lazy
+    columns (column i takes every row's i-th answer). When the plans are for m elements the level is one
+    block, gathered by plan k. A longer level splits by ``up``'s clause 4 on its first element: its
+    first C(m-1, k-1) answers X keep that element and the rest T drop it. The rows that keep it take
+    their first k columns from X raised as level k-1 of m-1 (for k = 1, X's one answer repeated) and
+    their column k from T in order; the rows that drop it are T raised as level k of m-1. So above 12
+    elements the level splits down to 12, and with ``()`` it splits all the way down, by clause 4 alone.
     """
-    return (columns for _, columns in _blocks(level, 0, k, m, plans))
+    blocks = _blocks(level, 0, k, m, plans)
+    raised = combine_level(next(blocks)[1])
+    for _, columns in blocks:
+        raised += combine_level(columns)
+    return raised
 
 
 def _blocks(level: list[A], start: int, k: int, m: int, plans: Sequence[Sequence[int]]) -> Iterator[tuple]:
-    """``gather_blocks`` on the level ``level[start:]``, each block with its row count.
+    """``raise_level``'s blocks of the level ``level[start:]``, each with its row count.
 
     Plans count positions from the end and T is a tail, so T is raised in place; only X, and the
     part of T that is a block's column k, are sliced.

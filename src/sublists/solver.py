@@ -44,7 +44,8 @@ class SublistProblem(Generic[X, Y]):
     ``combine_level``, when given, is ``combine`` for a block of
     consecutive rows of a level at once: it receives the block's argument
     columns (column i holds every row's i-th answer), equal-length lazy
-    iterables each consumed once, and returns the rows' answers in order.
+    iterables each consumed once, and returns the rows' answers in order, as
+    a ``list`` (``bu`` extends one block's list by the next block's).
     ``bu`` may call it several times per level, once per block; up to 12
     elements a level is one block. On an m-element input a level can hold
     C(m, m // 2) rows, so it should consume the columns lazily and build
@@ -123,26 +124,23 @@ def bu(n: int, problem: SublistProblem[X, Y], xs: Sequence[X]) -> Y:
 
     Level k lists the answers for the k-element subsequences of ``xs`` in
     ``choose`` order; the seed level applies ``base`` to every element.
-    Then n times the level is raised by ``level_engine.gather_blocks`` into
-    blocks of consecutive rows, each k + 1 lazy argument columns, and
-    combined, until one answer, for ``xs`` itself, is left. Up to 12
-    elements a level is one block, gathered by the stored plans,
-    ``level_engine.gather_plan(n + 1)`` (``up`` compiled to positions; the
-    tree ``up`` is their specification); a longer one splits by ``up``'s
-    clause 4 down to 12. Each block goes to ``combine_level`` when the problem has
-    one, and otherwise every row goes to ``combine``; the level's answers
-    are the blocks' answers in order. Either way every subsequence of
-    length j gets exactly one answer, from j answers.
+    Then n times ``level_engine.raise_level`` raises the level one step, the
+    paper's ``up`` then ``map g``, until one answer, for ``xs`` itself, is
+    left: it gathers blocks of consecutive rows, each k + 1 lazy argument
+    columns, and joins their answers in order. Up to 12 elements a level is
+    one block, gathered by the stored plans, ``level_engine.gather_plan(n + 1)``
+    (``up`` compiled to positions; the tree ``up`` is their specification);
+    a longer one splits by ``up``'s clause 4 down to 12. Each block goes to
+    ``combine_level`` when the problem has one, and otherwise every row goes
+    to ``combine``. Either way every subsequence of length j gets exactly
+    one answer, from j answers, and at most two levels are alive at once.
     """
     _check_index(n, xs)
     combine_level = _level_combine(problem)
     level = [problem.base(x) for x in xs]
     plans = level_engine.gather_plan(n + 1)
     for k in range(1, n + 1):
-        blocks = level_engine.gather_blocks(level, k, n + 1, plans)
-        raised = combine_level(next(blocks))
-        for columns in blocks:
-            raised += combine_level(columns)
+        raised = level_engine.raise_level(level, k, n + 1, plans, combine_level)
         # a list frees its items last to first; reversed, the spent answers go in the order
         # they were made, so the allocator merges them and gives the memory back
         level.reverse()

@@ -125,7 +125,7 @@ MUTANTS = [
      "the rows that keep the first element come before the rows that drop it"),
     ("level_engine.py", "repeat(level[start], m - 1)", "repeat(level[start], m - 2)",
      "at k = 1 the first element's answer is repeated once per later element"),
-    # the one way into the stored plans, gather_plan's clamp and gather_blocks' columns, held by
+    # the one way into the stored plans, gather_plan's clamp and raise_level's columns, held by
     # the plan tests and the up-flat and combine-level laws; one mutant here is equivalent and not
     # listed: == -> <= in _blocks' base changes nothing, since every caller passes plans of exactly
     # the length the split reaches (gather_plan(m) for m <= 12 at the top, 12 from above, and ()
@@ -138,6 +138,11 @@ MUTANTS = [
      "column i takes every row's i-th position, k + 1 to a row"),
     ("laws.py", "(level_engine.gather_plan(n), ())", "(level_engine.gather_plan(n),)",
      "the laws also gather by clause 4 alone, with no plan, as bu does above 12 elements"),
+    # the one level step, raise_level, taken by bu and the laws alike
+    ("level_engine.py", "        raised += combine_level(columns)\n", "        combine_level(columns)\n",
+     "raise_level joins every block's answers, not only the first block's"),
+    ("laws.py", "            level = rows[0]\n", "",
+     "the combine-level law walks the problem's own levels, each raised by the row combine"),
     ("instances.py", "    acc = iter(columns[0])\n", "    columns = columns[::-1]\n    acc = iter(columns[0])\n",
      "modsum's level combine weights its columns in order"),
     ("instances.py", "    return [(1 + a) % MODULUS for a in acc]", "    return [1 + a for a in acc]",

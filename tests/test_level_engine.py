@@ -99,12 +99,21 @@ def test_a_counterexample_names_its_law_and_renders_both_sides(monkeypatch):
 
 def test_the_combine_level_law_replays_the_blocks_split_by_clause_4():
     # only the blocks split by clause 4 hold list columns, so a combine_level that reverses them
-    # is right on every block gathered by a plan; the law must still catch it, from abc on
+    # is right on every block gathered by a plan; the law must still catch it, from [1, 2, 3] on
     def reversing(columns):
         return instances._modsum_combine_level([c[::-1] if isinstance(c, list) else c for c in columns])
 
     cases = laws.combine_level(replace(MODSUM, combine_level=reversing), 6)
-    assert next(info for info, lhs, rhs in cases if lhs != rhs) == {"input": "abc", "k": 1}
+    assert next(info for info, lhs, rhs in cases if lhs != rhs) == {"input": [1, 2, 3], "k": 1}
+
+
+def test_the_combine_level_law_holds_combine_level_to_returning_a_list():
+    # bu extends one block's list of answers by the next block's and reverses a spent level, so
+    # right answers in a tuple or an iterator break it; the law runs bu's own step and must catch both
+    for wrap in [tuple, iter]:
+        problem = replace(MODSUM, combine_level=lambda columns, wrap=wrap: wrap(MODSUM.combine_level(columns)))
+        cases = laws.combine_level(problem, 6)
+        assert next(info for info, lhs, rhs in cases if lhs != rhs) == {"input": [1, 2], "k": 1}, wrap
 
 
 def test_up_names_clause_2_on_a_left_subtree_that_cannot_collapse():

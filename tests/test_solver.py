@@ -151,20 +151,22 @@ def test_bu_trace_example():
 
 
 def test_bu_frees_each_spent_level_in_the_order_it_was_made():
-    # answers are labelled in the order they are made; each level dies once the next is made
-    made, freed = [], []
+    # answers are labelled in the order they are made; each level dies once the next is made, also
+    # at 13 elements, where each level is raised in several blocks
+    for length in [5, 13]:
+        made, freed = [], []
 
-    class Answer:
-        def __init__(self, value):
-            self.value = value
-            weakref.finalize(self, freed.append, len(made))
-            made.append(None)
+        class Answer:
+            def __init__(self, value):
+                self.value = value
+                weakref.finalize(self, freed.append, len(made))
+                made.append(None)
 
-    boxed = SublistProblem("boxed", Answer, lambda ys: Answer(MODSUM.combine([y.value for y in ys])))
-    xs = [1, 2, 3, 4, 5]
-    answer = bu(len(xs) - 1, boxed, xs)
-    assert answer.value == solve(MODSUM, xs)
-    assert freed == list(range(len(made) - 1))
+        boxed = SublistProblem("boxed", Answer, lambda ys: Answer(MODSUM.combine([y.value for y in ys])))
+        xs = list(range(1, length + 1))
+        answer = bu(len(xs) - 1, boxed, xs)
+        assert answer.value == solve(MODSUM, xs)
+        assert freed == list(range(len(made) - 1)), length
 
 
 def test_run_with_stats_returns_the_bare_value():
