@@ -12,6 +12,9 @@ and the ``calls`` law checks them against the calls of the run it makes.
 Laws reach ``level_engine.up``, ``gather_plan`` and ``raise_level`` (the one level step, ``bu``'s
 too), ``solver.td``, ``solver.bu`` and ``solver.run_with_stats`` through their modules rather than
 binding them at import time, so a replacement patched into one of them is exactly what gets checked.
+Plans are stored up to 10 elements, ``verify``'s longest input, so there every level the laws raise
+by the plans is one block, its columns the stored getters; the laws also raise each level by clause
+4 alone, as ``bu`` splits a level above 10 elements.
 """
 
 from __future__ import annotations

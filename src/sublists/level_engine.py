@@ -8,7 +8,7 @@ that (k+1)-subsequence's immediate sublists, in ``subs`` order. That list
 is exactly the argument a sublist recurrence's combining function wants,
 so one ``up`` plus one tip-wise map advances a whole level. ``bu`` and the
 laws take that step by ``raise_level``, which gathers by ``gather_plan``
-(``up`` compiled to positions) up to 12 elements and by ``up``'s clause 4
+(``up`` compiled to column getters) up to 10 elements and by ``up``'s clause 4
 above; ``up`` is the specification the law ``up-flat`` checks both against.
 
 ``up`` rearranges values purely by position; it never looks at them. Its
@@ -23,7 +23,7 @@ from __future__ import annotations
 from array import array
 from itertools import chain, repeat
 from math import comb
-from operator import add
+from operator import add, itemgetter
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from .combinatorics import choose, subs
@@ -85,55 +85,73 @@ def up(t: BinomialTree[A]) -> BinomialTree[list[A]]:
     raise TypeError(f"not a tree: {t!r}")
 
 
-_STORED = 12  # the longest stored plan; longer levels are gathered by up's clause 4
-_table: tuple[array, ...] = ()  # the plans for k = 0..M-1 of the longest length M built so far
+_STORED = 10  # the longest stored plan; longer levels are gathered by up's clause 4
+_plans: dict[int, tuple[tuple[Callable, ...], ...]] = {}  # gather_plan's answer for each length built so far
 
 
-def gather_plan(m: int) -> tuple[memoryview, ...]:
-    """``up`` compiled for s = min(m, 12) elements: where each raised row gathers from.
+def gather_plan(m: int) -> tuple[tuple[Callable, ...], ...]:
+    """``up`` compiled for s = min(m, 10) elements: each raised level's column getters.
 
-    Entry k - 1 is level k's plan, for k = 1..s-1: read-only positions
-    counted from the level's end (p - C(s, k)), row-major with k + 1 to a
-    row. Row j lists the positions in level k (``choose`` order) of the
-    (j+1)-th (k+1)-subsequence's immediate sublists in ``subs`` order, so
-    gathering level k by it yields the tips of ``up``, the specification.
-    Plans are stored up to 12 elements; ``raise_level`` splits a longer
-    input's levels down to 12 and gathers the parts by these plans.
+    Entry k - 1 is level k's plan, for k = 1..s-1: k + 1 ``itemgetter``s, where column i, applied
+    to level k (``choose`` order), returns every raised row's i-th answer. Row j lists the answers of
+    the (j+1)-th (k+1)-subsequence's immediate sublists in ``subs`` order, so applying the plan's
+    columns yields the tips of ``up``, the specification. A column is a tuple, or a one-item list on
+    the last level, whose one row would make a bare ``itemgetter`` return the answer itself. Plans are
+    stored up to 10 elements; ``raise_level`` splits a longer input's levels down to 10 and gathers
+    the parts by these plans.
 
-    ``choose`` lists the subsequences without the first element last, so
-    plan (k, s) is a tail of plan (k, M) for every M > s. One table, for the
-    longest length M asked for so far, stays resident (M * 2**(M-1) 16-bit
-    positions, 48 KiB at 12); a shorter length gets views of its tails and
-    builds nothing. A longer one grows it a length at a time by ``up``'s
-    clause 4, node(zip snoc (up t) u, up u), on positions: plan (k, M+1) is
-    plan (k-1, M) shifted by -C(M, k), row j snoc'd with u's tip j - C(M, k),
-    then plan (k, M). Each grown table is published in one assignment.
+    The positions, counted from the level's end (p - C(s, k)), come from a table grown a length at
+    a time by ``up``'s clause 4, node(zip snoc (up t) u, up u), on positions: plan (k, m'+1) is plan
+    (k-1, m') shifted by -C(m', k), row j snoc'd with u's tip j - C(m', k), then plan (k, m'), as
+    16-bit ``array``s. The table is dropped once the getters are built; they share one int per
+    distinct position. Each length's getters are built on its first call and kept (s * 2**(s-1) - s
+    positions, 5,110 at 10), so a later call builds nothing. Threads that ask for a new length at
+    once may each build it; each gets whole getters, published in one assignment.
     """
     m = min(m, _STORED)
-    global _table
-    table = _table
-    for mp in range(len(table) + 1, m + 1):
+    plans = _plans.get(m)
+    if plans is None:
+        plans = _plans[m] = _columns(m)
+    return plans
+
+
+def _columns(m: int) -> tuple[tuple[Callable, ...], ...]:
+    """``gather_plan(m)``, built: the m-element table of positions, read into column getters."""
+    table: tuple[array, ...] = ()
+    for mp in range(1, m + 1):
         plans = [array("h", [-1]) * mp]  # k = 0: every singleton gathers the one answer of level 0
         for k in range(1, mp):
             keep = comb(mp - 1, k)  # rows that keep the first element, from (k-1, m'-1)
             kept = map(add, table[k - 1], repeat(-keep))
             plan = array("h", chain.from_iterable(zip(*[kept] * k, range(-keep, 0))))
             plans.append(plan + table[k] if k < mp - 1 else plan)  # (m'-1, m'-1) has no rows
-        table = _table = tuple(plans)
-    views = (memoryview(plan).toreadonly() for plan in table[1:m])
-    return tuple(view[len(view) - (k + 1) * comb(m, k + 1) :] for k, view in enumerate(views, start=1))
+        table = tuple(plans)
+    pool = tuple(range(-comb(m, m // 2), 0))  # pool[p] is p, one object for every getter
+    return tuple(
+        tuple(_column([pool[p] for p in plan[i :: k + 1]]) for i in range(k + 1))
+        for k, plan in enumerate(table[1:], start=1)
+    )
 
 
-def raise_level(level: list[A], k: int, m: int, plans: Sequence[Sequence[int]], combine_level: Callable) -> list:
+def _column(positions: list[int]) -> Callable:
+    """The getter of one column; ``itemgetter`` of one position would return the answer, not a sequence."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    (p,) = positions
+    return itemgetter(slice(p, p + 1 or None))
+
+
+def raise_level(level: list[A], k: int, m: int, plans: Sequence[Sequence[Callable]], combine_level: Callable) -> list:
     """Level k of an m-element input raised a step: ``combine_level``'s lists for its blocks, joined in order.
 
-    ``plans`` is ``gather_plan(m)``, or ``()`` for no plan. A block is consecutive rows as k + 1 lazy
-    columns (column i takes every row's i-th answer). When the plans are for m elements the level is one
-    block, gathered by plan k. A longer level splits by ``up``'s clause 4 on its first element: its
-    first C(m-1, k-1) answers X keep that element and the rest T drop it. The rows that keep it take
-    their first k columns from X raised as level k-1 of m-1 (for k = 1, X's one answer repeated) and
-    their column k from T in order; the rows that drop it are T raised as level k of m-1. So above 12
-    elements the level splits down to 12, and with ``()`` it splits all the way down, by clause 4 alone.
+    ``plans`` is ``gather_plan(m)``, or ``()`` for no plan. A block is consecutive rows as k + 1
+    columns (column i takes every row's i-th answer). When the plans are for m elements the level is
+    one block, its columns plan k's getters applied to it. A longer level splits by ``up``'s clause 4
+    on its first element: its first C(m-1, k-1) answers X keep that element and the rest T drop it.
+    The rows that keep it take their first k columns from X raised as level k-1 of m-1 (for k = 1,
+    X's one answer repeated) and their column k from T in order; the rows that drop it are T raised
+    as level k of m-1. So above 10 elements the level splits down to 10, and with ``()`` it splits
+    all the way down, by clause 4 alone.
     """
     blocks = _blocks(level, 0, k, m, plans)
     raised = combine_level(next(blocks)[1])
@@ -142,15 +160,14 @@ def raise_level(level: list[A], k: int, m: int, plans: Sequence[Sequence[int]], 
     return raised
 
 
-def _blocks(level: list[A], start: int, k: int, m: int, plans: Sequence[Sequence[int]]) -> Iterator[tuple]:
+def _blocks(level: list[A], start: int, k: int, m: int, plans: Sequence[Sequence[Callable]]) -> Iterator[tuple]:
     """``raise_level``'s blocks of the level ``level[start:]``, each with its row count.
 
     Plans count positions from the end and T is a tail, so T is raised in place; only X, and the
     part of T that is a block's column k, are sliced.
     """
     if m == len(plans) + 1:
-        plan = plans[k - 1]
-        yield comb(m, k + 1), [map(level.__getitem__, plan[i :: k + 1]) for i in range(k + 1)]
+        yield comb(m, k + 1), [column(level) for column in plans[k - 1]]
         return
     cut = comb(m - 1, k - 1)  # X = level[start:start + cut], T = level[start + cut:]
     if k == 1:

@@ -43,10 +43,10 @@ class SublistProblem(Generic[X, Y]):
 
     ``combine_level``, when given, is ``combine`` for a block of
     consecutive rows of a level at once: it receives the block's argument
-    columns (column i holds every row's i-th answer), equal-length lazy
+    columns (column i holds every row's i-th answer), equal-length
     iterables each consumed once, and returns the rows' answers in order, as
     a ``list`` (``bu`` extends one block's list by the next block's).
-    ``bu`` may call it several times per level, once per block; up to 12
+    ``bu`` may call it several times per level, once per block; up to 10
     elements a level is one block. On an m-element input a level can hold
     C(m, m // 2) rows, so it should consume the columns lazily and build
     only the list of answers. Each call must equal
@@ -54,6 +54,9 @@ class SublistProblem(Generic[X, Y]):
     ``combine``, while ``td`` uses only ``combine``, which stays the
     definition. ``replace(problem, combine=...)`` keeps the
     old ``combine_level``, so clear or replace it in the same call.
+    What it buys, measured for ``modsum`` on Python 3.11.7 (in-process,
+    best of 31): its row path takes ×1.31–1.33 the column path's time at
+    12 ints, ×1.23–1.25 at 15 and ×1.22–1.23 at 16.
     """
 
     name: str
@@ -126,11 +129,11 @@ def bu(n: int, problem: SublistProblem[X, Y], xs: Sequence[X]) -> Y:
     ``choose`` order; the seed level applies ``base`` to every element.
     Then n times ``level_engine.raise_level`` raises the level one step, the
     paper's ``up`` then ``map g``, until one answer, for ``xs`` itself, is
-    left: it gathers blocks of consecutive rows, each k + 1 lazy argument
-    columns, and joins their answers in order. Up to 12 elements a level is
+    left: it gathers blocks of consecutive rows, each k + 1 argument
+    columns, and joins their answers in order. Up to 10 elements a level is
     one block, gathered by the stored plans, ``level_engine.gather_plan(n + 1)``
-    (``up`` compiled to positions; the tree ``up`` is their specification);
-    a longer one splits by ``up``'s clause 4 down to 12. Each block goes to
+    (``up`` compiled to column getters; the tree ``up`` is their specification);
+    a longer one splits by ``up``'s clause 4 down to 10. Each block goes to
     ``combine_level`` when the problem has one, and otherwise every row goes
     to ``combine``. Either way every subsequence of length j gets exactly
     one answer, from j answers, and at most two levels are alive at once.

@@ -108,9 +108,9 @@ def bu_levels(n: int, problem, xs) -> tuple[list, object]:
     return [levels[k] for k in range(1, n + 1)], value
 
 
-def gather(values: list, plan, width: int) -> list[list]:
-    """The rows a gather plan picks out of ``values``, ``width`` positions each."""
-    return [[values[i] for i in plan[j : j + width]] for j in range(0, len(plan), width)]
+def gather(values: list, plan) -> list[list]:
+    """The rows a gather plan picks out of ``values``: its column getters applied, read row by row."""
+    return [list(row) for row in zip(*[column(values) for column in plan])]
 
 
 def td_g_calls(n: int) -> int:

@@ -107,7 +107,7 @@ MUTANTS = [
     ("level_engine.py", "zip(*[kept] * k, range(-keep, 0))", "zip(range(-keep, 0), *[kept] * k)",
      "each gather plan row lists the immediate sublists in subs order"),
     # the split of a level above the stored length by up's clause 4, held by the up-flat law's
-    # blocks split by clause 4 alone, with no plan, and by bu above 12 elements
+    # blocks split by clause 4 alone, with no plan, and by bu above 10 elements
     ("level_engine.py", "    cut = comb(m - 1, k - 1)  #", "    cut = comb(m - 1, k - 1) + 1  #",
      "the split cuts a level after the C(m-1, k-1) answers that keep the first element"),
     ("level_engine.py", "columns.append(level[t : t + rows])", "columns.append(level[start : start + rows])",
@@ -125,19 +125,29 @@ MUTANTS = [
      "the rows that keep the first element come before the rows that drop it"),
     ("level_engine.py", "repeat(level[start], m - 1)", "repeat(level[start], m - 2)",
      "at k = 1 the first element's answer is repeated once per later element"),
-    # the one way into the stored plans, gather_plan's clamp and raise_level's columns, held by
-    # the plan tests and the up-flat and combine-level laws; one mutant here is equivalent and not
-    # listed: == -> <= in _blocks' base changes nothing, since every caller passes plans of exactly
-    # the length the split reaches (gather_plan(m) for m <= 12 at the top, 12 from above, and ()
-    # never reaches m = 1)
+    # the one way into the stored plans, gather_plan's clamp and cache, the column getters and
+    # raise_level's use of them, held by the plan tests and the up-flat and combine-level laws; one
+    # mutant here is equivalent and not listed: == -> <= in _blocks' base changes nothing, since
+    # every caller passes plans of exactly the length the split reaches (gather_plan(m) for
+    # m <= 10 at the top, 10 from above, and () never reaches m = 1)
     ("level_engine.py", "    m = min(m, _STORED)\n", "    m = min(m + 1, _STORED)\n",
-     "gather_plan answers for min(m, 12) elements, not one more"),
+     "gather_plan answers for min(m, 10) elements, not one more"),
     ("level_engine.py", "    m = min(m, _STORED)\n", "    m = min(m, _STORED - 1)\n",
-     "the stored table reaches 12 elements (the values stay right, split one level more)"),
+     "the stored plans reach 10 elements (the values stay right, split one level more)"),
+    ("level_engine.py", "plans = _plans[m] = _columns(m)", "plans = _columns(m)",
+     "each length's getters are built once; a warm call builds nothing"),
     ("level_engine.py", "plan[i :: k + 1]", "plan[i :: k]",
-     "column i takes every row's i-th position, k + 1 to a row"),
+     "the getter of column i takes every row's i-th position, k + 1 to a row"),
+    ("level_engine.py", "[column(level) for column in plans[k - 1]]", "[column(level) for column in plans[k - 1][:k]]",
+     "a block gathered by a plan gets every one of its k + 1 columns"),
+    ("level_engine.py", "    if len(positions) > 1:\n", "    if len(positions) > 0:\n",
+     "a one-row column, on the last level, still comes back as a sequence"),
+    ("level_engine.py", "itemgetter(slice(p, p + 1 or None))", "itemgetter(slice(p, p + 1))",
+     "a one-row column at the level's last position slices to the level's end"),
+    ("level_engine.py", "range(-comb(m, m // 2), 0)", "range(-comb(m, m // 2 - 1), 0)",
+     "the position pool reaches the widest level, C(m, m // 2) answers"),
     ("laws.py", "(level_engine.gather_plan(n), ())", "(level_engine.gather_plan(n),)",
-     "the laws also gather by clause 4 alone, with no plan, as bu does above 12 elements"),
+     "the laws also gather by clause 4 alone, with no plan, as bu does above 10 elements"),
     # the one level step, raise_level, taken by bu and the laws alike
     ("level_engine.py", "        raised += combine_level(columns)\n", "        combine_level(columns)\n",
      "raise_level joins every block's answers, not only the first block's"),

@@ -120,7 +120,7 @@ def test_shape_index_suite():
                     assert level == expected, (problem.name, length, k)
                 if levels:
                     plan = level_engine.gather_plan(length)[length - 2]
-                    rows = gather(levels[-1], plan, length)
+                    rows = gather(levels[-1], plan)
                     assert len(rows) == 1
                     assert problem.combine(rows[0]) == value
                 box["cases"] += 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+import operator
 import sys
 import threading
 import tracemalloc
@@ -180,7 +181,7 @@ def test_gather_by_plan_is_up_on_the_tips(d, km):
     k, m = km
     values = d.draw(st.lists(st.integers(-100, 100), min_size=comb(m, k), max_size=comb(m, k)))
     t = tree_of_shape(k, m, iter(values).__next__)
-    assert gather(values, level_engine.gather_plan(m)[k - 1], k + 1) == tips(up(t))
+    assert gather(values, level_engine.gather_plan(m)[k - 1]) == tips(up(t))
 
 
 def test_every_stored_plan_is_up_on_distinct_tips():
@@ -189,39 +190,64 @@ def test_every_stored_plan_is_up_on_distinct_tips():
         for k in range(1, m):
             values = list(range(comb(m, k)))
             t = tree_of_shape(k, m, iter(values).__next__)
-            assert gather(values, level_engine.gather_plan(m)[k - 1], k + 1) == tips(up(t)), (k, m)
+            assert gather(values, level_engine.gather_plan(m)[k - 1]) == tips(up(t)), (k, m)
 
 
-def test_gather_plans_are_tails_of_one_shared_table(monkeypatch):
-    # tests share one process, so start from an empty table and give the old one back after
-    monkeypatch.setattr(level_engine, "_table", ())
+def _resident(*plans) -> int:
+    """Bytes the allocator holds for the getters in ``plans`` and all they refer to, each object once.
+
+    The ints from -5 up are the interpreter's own, made at start-up. An int may ask the allocator
+    for more than ``getsizeof`` says (32 bytes against 28 on CPython 3.11), so its size is traced.
+    """
+    seen, total, ints, todo = set(), 0, 0, list(plans)
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or obj is None or isinstance(obj, type) or type(obj) is int and obj >= -5:
+            continue
+        seen.add(id(obj))
+        if type(obj) is int:
+            ints += 1
+            continue
+        total += sys.getsizeof(obj)
+        todo.extend(gc.get_referents(obj))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fresh = tuple(range(-1000 - ints, -1000))
+        return total + tracemalloc.get_traced_memory()[0] - before - sys.getsizeof(fresh)
+    finally:
+        tracemalloc.stop()
+
+
+def _applied(plans, m: int) -> list[list[list]]:
+    """Every level's rows, each level's plan applied to its distinct positions."""
+    return [gather(list(range(comb(m, k))), plan) for k, plan in enumerate(plans, start=1)]
+
+
+def test_gather_plans_are_cached_column_getters_over_pooled_positions(monkeypatch):
+    # tests share one process, so start from an empty cache and give the old one back after
+    monkeypatch.setattr(level_engine, "_plans", {})
     plans = level_engine.gather_plan(7)
-    table = level_engine._table
-    assert len(table) == 7
-    assert [len(plan) for plan in plans] == [(k + 1) * comb(7, k + 1) for k in range(1, 7)]
-    with pytest.raises(TypeError):
-        plans[0][0] = 1  # a view of the shared table, so read-only
+    assert [len(plan) for plan in plans] == [k + 1 for k in range(1, 7)]
+    assert all(type(column) is operator.itemgetter for plan in plans for column in plan)
     assert level_engine.gather_plan(1) == ()
-    assert list(level_engine.gather_plan(2)[0]) == [-2, -1]
+    assert _applied(level_engine.gather_plan(2), 2) == [[[0, 1]]]
 
-    # a shorter length builds nothing: its plans are tail views of the table's own buffers
-    shorter = level_engine.gather_plan(5)
-    assert level_engine._table is table
-    assert all(view.obj is table[k] for k, view in enumerate(shorter, start=1))
-    assert [list(view) for view in shorter] == [list(plan)[-len(view) :] for view, plan in zip(shorter, plans)]
+    # every column is a sequence, a one-row one too: the last level's one row is the level itself
+    level = list("abcdefg")
+    assert [column(level) for column in plans[-1]] == [[c] for c in level]
+    assert [type(column(list(range(21)))) for column in plans[-2]] == [tuple] * 6  # C(7, 5) answers
 
-    # growing keeps the old plans as tails
-    old = [list(plan) for plan in plans]
-    grown = level_engine.gather_plan(9)
-    assert len(level_engine._table) == 9
-    assert [list(plan)[-len(was) :] for plan, was in zip(grown, old)] == old
-    assert [list(plan) for plan in level_engine.gather_plan(7)] == old
-    del plans, shorter, grown
+    # a warm call, or a longer length, builds nothing; each position is one int object
+    assert level_engine.gather_plan(7) is plans
+    assert level_engine.gather_plan(20) is level_engine.gather_plan(10) is level_engine.gather_plan(12)
+    assert list(level_engine._plans) == [7, 1, 2, 10]
+    items = [p for plan in level_engine.gather_plan(10)[:-1] for column in plan for p in column.__reduce__()[1]]
+    assert len({id(p) for p in items}) == len(set(items)) == comb(10, 5)
 
-    # only the longest length's table stays resident; a growth step's zip builds row tuples,
-    # and the interpreter keeps freed ones on free lists that tracemalloc still counts, so a
-    # full collection empties those lists at both ends of the window
-    monkeypatch.setattr(level_engine, "_table", ())
+    # only the lengths asked for stay resident, each its getters and one pool; the window's ends
+    # collect, since the interpreter keeps freed tuples on free lists that tracemalloc still counts
+    monkeypatch.setattr(level_engine, "_plans", {})
     tracemalloc.start()
     try:
         gc.collect()
@@ -232,26 +258,25 @@ def test_gather_plans_are_tails_of_one_shared_table(monkeypatch):
         resident = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    table = level_engine._table
-    assert len(table) == 12
-    assert sum(plan.itemsize * len(plan) for plan in table) == 2 * 12 * 2**11
-    alone = sys.getsizeof(table) + sum(map(sys.getsizeof, table))
-    assert alone <= resident < alone + 1024  # the 9- and 10-element tables would add 14.8 KiB
+    assert list(level_engine._plans) == [9, 10]
+    assert sum(len(column.__reduce__()[1]) for plan in level_engine.gather_plan(10) for column in plan) == 5_110
+    alone = _resident(level_engine.gather_plan(9), level_engine.gather_plan(10))
+    assert alone <= resident < alone + 1024  # a 10-element pool tuple would add 2 KiB, its table 10 KiB
 
 
 def test_concurrent_readers_see_only_whole_plans(monkeypatch):
-    # threads grow and read the shared table at once; each must get exactly the plans
-    lengths = list(range(1, 13))
-    expected = {m: [list(plan) for plan in level_engine.gather_plan(m)] for m in lengths}
-    orders = [lengths[i:] + lengths[:i] for i in range(0, 12, 3)] + [lengths[::-1]]
+    # threads build and read the shared cache at once; each must get exactly the plans
+    lengths = list(range(1, 11))
+    expected = {m: _applied(level_engine.gather_plan(m), m) for m in lengths}
+    orders = [lengths[i:] + lengths[:i] for i in range(0, 10, 3)] + [lengths[::-1]]
     wrong = []
 
     def read(barrier, order):
         barrier.wait(timeout=60)
         for m in order:
             try:
-                got = [list(plan) for plan in level_engine.gather_plan(m)]
-            except Exception as exc:  # a half-built table may also raise; report it as a wrong read
+                got = _applied(level_engine.gather_plan(m), m)
+            except Exception as exc:  # a half-built plan may also raise; report it as a wrong read
                 got = exc
             if got != expected[m]:
                 wrong.append((m, got))
@@ -260,7 +285,7 @@ def test_concurrent_readers_see_only_whole_plans(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(10):
-            monkeypatch.setattr(level_engine, "_table", ())
+            monkeypatch.setattr(level_engine, "_plans", {})
             barrier = threading.Barrier(len(orders))
             threads = [threading.Thread(target=read, args=(barrier, order)) for order in orders]
             for thread in threads:
@@ -273,14 +298,14 @@ def test_concurrent_readers_see_only_whole_plans(monkeypatch):
     assert wrong == []
 
 
-def test_solve_on_20_ints_leaves_only_the_12_element_table_resident(monkeypatch):
-    # above 12 elements levels split by up's clause 4 down to 12, so a longer length gets the
-    # 12-element plans and no longer plan is built
-    assert [list(plan) for plan in level_engine.gather_plan(20)] == [list(plan) for plan in level_engine.gather_plan(12)]
+def test_solve_on_20_ints_leaves_only_the_10_element_getters_resident(monkeypatch):
+    # above 10 elements levels split by up's clause 4 down to 10, so a longer length gets the
+    # 10-element plans and no longer plan is built
+    assert level_engine.gather_plan(20) is level_engine.gather_plan(10)
     # the problem passes column 0 through, so the gather is all that runs; the window's ends
-    # collect, as in the shared-table test above
+    # collect, as in the cache test above
     first = SublistProblem("first", int, lambda ys: ys[0], combine_level=lambda columns: list(columns[0]))
-    monkeypatch.setattr(level_engine, "_table", ())
+    monkeypatch.setattr(level_engine, "_plans", {})
     tracemalloc.start()
     try:
         gc.collect()
@@ -290,11 +315,8 @@ def test_solve_on_20_ints_leaves_only_the_12_element_table_resident(monkeypatch)
         resident = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    table = level_engine._table
-    assert len(table) == 12
-    assert {plan.typecode for plan in table} == {"h"}
-    assert sum(plan.itemsize * len(plan) for plan in table) == 2 * 12 * 2**11
-    alone = sys.getsizeof(table) + sum(map(sys.getsizeof, table))
+    assert list(level_engine._plans) == [10]
+    alone = _resident(level_engine.gather_plan(10))
     assert alone <= resident < alone + 1024
 
 

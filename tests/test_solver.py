@@ -240,11 +240,11 @@ def test_modsum_values_stay_below_the_modulus():
     assert all(0 <= v < MODULUS for v in seen)
 
 
-@pytest.mark.parametrize("length", [12, 13, 14, 16, 20])
+@pytest.mark.parametrize("length", [11, 12, 13, 14, 16, 20])
 def test_modsum_column_path_matches_row_path_and_memo_beyond_verify(length):
-    # the widest levels, C(12, 6) = 924 up to C(20, 10) = 184,756 rows, are out of the reach of
-    # `verify`, whose longest input, 10 elements, raises at most C(10, 5) = 252 rows; above 12
-    # elements every level is gathered in blocks split by up's clause 4
+    # the widest levels, C(11, 5) = 462 up to C(20, 10) = 184,756 rows, are out of the reach of
+    # `verify`, whose longest input, 10 elements, raises at most C(10, 5) = 252 rows; above 10
+    # elements every level is gathered in blocks split by up's clause 4, from 11, the first such length
     rng = random.Random(length)
     xs = [rng.randint(-(10**6), 10**6) for _ in range(length)]
     for problem in (MODSUM, MAXMIN):
@@ -261,7 +261,7 @@ def test_modsum_level_combine_builds_no_column_lists():
     # a combine_level that builds a list per column peaks about 1.5x over the row path here
     rng = random.Random(16)
     xs = [rng.randint(-(10**6), 10**6) for _ in range(16)]
-    level_engine.gather_plan(12)  # warm: neither peak should count building the plans
+    level_engine.gather_plan(16)  # warm: neither peak should count building the plans
 
     def peak(problem):
         tracemalloc.start()
