@@ -196,13 +196,13 @@ def test_every_stored_plan_is_up_on_distinct_tips():
 def _resident(*plans) -> int:
     """Bytes the allocator holds for the getters in ``plans`` and all they refer to, each object once.
 
-    The ints from -5 up are the interpreter's own, made at start-up. An int may ask the allocator
+    The ints from -5 to 256 are the interpreter's own, made at start-up. An int may ask the allocator
     for more than ``getsizeof`` says (32 bytes against 28 on CPython 3.11), so its size is traced.
     """
     seen, total, ints, todo = set(), 0, 0, list(plans)
     while todo:
         obj = todo.pop()
-        if id(obj) in seen or obj is None or isinstance(obj, type) or type(obj) is int and obj >= -5:
+        if id(obj) in seen or obj is None or isinstance(obj, type) or type(obj) is int and -5 <= obj <= 256:
             continue
         seen.add(id(obj))
         if type(obj) is int:
