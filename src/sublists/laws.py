@@ -9,12 +9,13 @@ and the acceptance tests replay the same registry. ``run_with_stats``
 reports both evaluators' counts from their closed forms, ``predicted_cost``,
 and the ``calls`` law checks them against the calls of the run it makes.
 
-Laws reach ``level_engine.up``, ``gather_plan`` and ``raise_level`` (the one level step, ``bu``'s
-too), ``solver.td``, ``solver.bu`` and ``solver.run_with_stats`` through their modules rather than
-binding them at import time, so a replacement patched into one of them is exactly what gets checked.
-Plans are stored up to 10 elements, ``verify``'s longest input, so there every level the laws raise
-by the plans is one block, its columns the stored getters; the laws also raise each level by clause
-4 alone, as ``bu`` splits a level above 10 elements.
+Laws reach ``level_engine.up``, ``gather_plan`` and ``raise_level``, ``solver.td``, ``solver.bu``,
+``solver.levels`` (``bu``'s walk, which the ``combine-level`` law walks too) and
+``solver.run_with_stats`` through their modules rather than binding them at import time, so a
+replacement patched into one of them is exactly what gets checked. Plans are stored up to 10 elements,
+``verify``'s longest input, so there every level the laws raise by the plans is one block, its columns
+the stored getters; the laws also raise each level by clause 4 alone, as ``bu`` splits a level above 10
+elements.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import functools
 import itertools
 import json
 import math
+from dataclasses import replace
 from string import ascii_lowercase
 from typing import Any, Callable, Iterator
 
@@ -136,14 +138,12 @@ def calls(max_len: int) -> Iterator[Case]:
 
 def combine_level(problem: solver.SublistProblem, max_len: int) -> Iterator[Case]:
     """A block combine equals the row combine on every row of the problem's own levels, as ``_raised``
-    gathers them: ``base`` on ``example_input``, each level raised by the row combine."""
+    gathers them: levels 1 to n − 1 of ``solver.levels`` on ``example_input``, with no ``combine_level``."""
     for n in range(2, max_len + 1):
         xs = instances.example_input(problem, n)
-        level = [problem.base(x) for x in xs]
-        for k in range(1, n):
+        for k, level in zip(range(1, n), solver.levels(replace(problem, combine_level=None), xs)):
             rows = _raised(level, k, n, lambda columns: [problem.combine(list(row)) for row in zip(*columns)])
             yield {"input": xs, "k": k}, _raised(level, k, n, problem.combine_level), rows
-            level = rows[0]
 
 
 def registry() -> dict[str, Law]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Callable, Generic, Iterable, Sequence, TypeVar
+from typing import Callable, Generic, Iterable, Iterator, Sequence, TypeVar
 
 from . import level_engine
 from .combinatorics import subs
@@ -117,37 +117,37 @@ def _td(base: Callable[[X], Y], combine: Callable[[list[Y]], Y], xs: Sequence[X]
     return combine([_td(base, combine, ys) for ys in subs(xs)])
 
 
-def _level_combine(problem: SublistProblem[X, Y]) -> Callable[[list[Iterable[Y]]], list[Y]]:
-    """``combine_level``, or else the row path: one ``combine`` call, on a fresh list, per row."""
-    return problem.combine_level or (lambda columns: list(map(problem.combine, map(list, zip(*columns)))))
+def levels(problem: SublistProblem[X, Y], xs: Sequence[X]) -> Iterator[list[Y]]:
+    """The bottom-up walk, one level per yield: each distinct subsequence of ``xs`` is solved once.
 
-
-def bu(n: int, problem: SublistProblem[X, Y], xs: Sequence[X]) -> Y:
-    """Bottom-up evaluator: each distinct subsequence is solved once.
-
-    Level k lists the answers for the k-element subsequences of ``xs`` in
-    ``choose`` order; the seed level applies ``base`` to every element.
-    Then n times ``level_engine.raise_level`` raises the level one step, the
-    paper's ``up`` then ``map g``, until one answer, for ``xs`` itself, is
-    left: it gathers blocks of consecutive rows, each k + 1 argument
-    columns, and joins their answers in order. Up to 10 elements a level is
-    one block, gathered by the stored plans, ``level_engine.gather_plan(n + 1)``
-    (``up`` compiled to column getters; the tree ``up`` is their specification);
-    a longer one splits by ``up``'s clause 4 down to 10. Each block goes to
-    ``combine_level`` when the problem has one, and otherwise every row goes
-    to ``combine``. Either way every subsequence of length j gets exactly
-    one answer, from j answers, and at most two levels are alive at once.
+    Level k lists the answers for the k-element subsequences in ``choose`` order, C(m, k) of them on m
+    elements; the seed level applies ``base`` to every element. Each ``level_engine.raise_level`` raises
+    a level one step, the paper's ``up`` then ``map g``, up to the last level, the one answer for ``xs``
+    itself: it gathers blocks of consecutive rows, each k + 1 argument columns, and joins their answers
+    in order. Up to 10 elements a level is one block, gathered by the stored plans,
+    ``level_engine.gather_plan(len(xs))`` (``up`` compiled to column getters); a longer one splits by
+    ``up``'s clause 4 down to 10. Each block goes to ``combine_level`` when the problem has one, and
+    otherwise every row goes to ``combine``, on a fresh list. At most two levels are alive at once, so
+    keep no yielded level past the next yield: it is then reversed, and dropped.
     """
-    _check_index(n, xs)
-    combine_level = _level_combine(problem)
+    combine_level = problem.combine_level or (lambda columns: list(map(problem.combine, map(list, zip(*columns)))))
     level = [problem.base(x) for x in xs]
-    plans = level_engine.gather_plan(n + 1)
-    for k in range(1, n + 1):
-        raised = level_engine.raise_level(level, k, n + 1, plans, combine_level)
+    plans = level_engine.gather_plan(len(xs))
+    yield level
+    for k in range(1, len(xs)):
+        raised = level_engine.raise_level(level, k, len(xs), plans, combine_level)
         # a list frees its items last to first; reversed, the spent answers go in the order
         # they were made, so the allocator merges them and gives the memory back
         level.reverse()
         level = raised
+        yield level
+
+
+def bu(n: int, problem: SublistProblem[X, Y], xs: Sequence[X]) -> Y:
+    """Bottom-up evaluator: the one answer of the last of ``levels(problem, xs)``."""
+    _check_index(n, xs)
+    for level in levels(problem, xs):
+        pass
     (answer,) = level
     return answer
 

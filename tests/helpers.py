@@ -6,13 +6,12 @@ is to have second routes to the same answers.
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 from dataclasses import replace
 from string import ascii_lowercase
 
-from sublists import Node, Tip, bu
+from sublists import Node, Tip
 
 
 def prefix(n: int) -> str:
@@ -73,39 +72,6 @@ def tree_of_shape(k: int, n: int, make_value):
     if k == 0 or k == n:
         return Tip(make_value())
     return Node(tree_of_shape(k - 1, n - 1, make_value), tree_of_shape(k, n - 1, make_value))
-
-
-def bu_levels(n: int, problem, xs) -> tuple[list, object]:
-    """Run ``bu`` and return the levels it raised, in order, and its value.
-
-    ``bu`` is observed through its calls: level 1 holds the answers of the
-    ``base`` calls and level j those of the ``combine`` calls on j answers,
-    or of the ``combine_level`` calls on j columns when the problem has
-    one, each in the order ``bu`` made them; levels 1 to n, one per raise.
-    """
-    levels = collections.defaultdict(list)
-
-    def recording_base(x):
-        levels[1].append(problem.base(x))
-        return levels[1][-1]
-
-    def recording_combine(ys):
-        levels[len(ys)].append(problem.combine(ys))
-        return levels[len(ys)][-1]
-
-    def recording_combine_level(columns):
-        answers = problem.combine_level(columns)
-        levels[len(columns)].extend(answers)
-        return answers
-
-    recording = replace(
-        problem,
-        base=recording_base,
-        combine=recording_combine,
-        combine_level=recording_combine_level if problem.combine_level else None,
-    )
-    value = bu(n, recording, xs)
-    return [levels[k] for k in range(1, n + 1)], value
 
 
 def gather(values: list, plan) -> list[list]:

@@ -151,8 +151,19 @@ MUTANTS = [
     # the one level step, raise_level, taken by bu and the laws alike
     ("level_engine.py", "        raised += combine_level(columns)\n", "        combine_level(columns)\n",
      "raise_level joins every block's answers, not only the first block's"),
-    ("laws.py", "            level = rows[0]\n", "",
+    ("laws.py", "solver.levels(replace(problem, combine_level=None), xs)", "itertools.repeat([problem.base(x) for x in xs])",
      "the combine-level law walks the problem's own levels, each raised by the row combine"),
+    # levels, the one walk of levels, and bu, the one answer of its last level
+    ("solver.py", "    yield level\n    for k in range(1, len(xs)):\n", "    for k in range(1, len(xs)):\n",
+     "levels yields the seed level, base on every element"),
+    ("solver.py", "    for k in range(1, len(xs)):\n", "    for k in range(1, len(xs) - 1):\n",
+     "levels raises the seed level m - 1 times, down to one answer"),
+    ("solver.py", "        level = raised\n        yield level\n", "        level = raised\n",
+     "levels yields every raised level"),
+    ("solver.py", "map(problem.combine, map(list, zip(*columns)))", "map(problem.combine, zip(*columns))",
+     "the row path hands combine each row as a fresh list"),
+    ("solver.py", "    for level in levels(problem, xs):\n        pass\n", "    for level in levels(problem, xs):\n        break\n",
+     "bu answers from the last of the levels, not the first"),
     ("instances.py", "    acc = iter(columns[0])\n", "    columns = columns[::-1]\n    acc = iter(columns[0])\n",
      "modsum's level combine weights its columns in order"),
     ("instances.py", "    return [(1 + a) % MODULUS for a in acc]", "    return [1 + a for a in acc]",

@@ -152,21 +152,51 @@ def test_bu_trace_example():
 
 def test_bu_frees_each_spent_level_in_the_order_it_was_made():
     # answers are labelled in the order they are made; each level dies once the next is made, also
-    # at 13 elements, where each level is raised in several blocks
-    for length in [5, 13]:
-        made, freed = [], []
+    # at 13 elements, where each level is raised in several blocks; bu and a plain consumer of
+    # levels, which drops each level at the next yield, both free them so
+    def bu_answer(boxed, xs):
+        return bu(len(xs) - 1, boxed, xs)
 
-        class Answer:
-            def __init__(self, value):
-                self.value = value
-                weakref.finalize(self, freed.append, len(made))
-                made.append(None)
+    def last_of_levels(boxed, xs):
+        for level in solver.levels(boxed, xs):
+            pass
+        return level[0]
 
-        boxed = SublistProblem("boxed", Answer, lambda ys: Answer(MODSUM.combine([y.value for y in ys])))
-        xs = list(range(1, length + 1))
-        answer = bu(len(xs) - 1, boxed, xs)
-        assert answer.value == solve(MODSUM, xs)
-        assert freed == list(range(len(made) - 1)), length
+    for evaluate in [bu_answer, last_of_levels]:
+        for length in [5, 13]:
+            made, freed = [], []
+
+            class Answer:
+                def __init__(self, value):
+                    self.value = value
+                    weakref.finalize(self, freed.append, len(made))
+                    made.append(None)
+
+            boxed = SublistProblem("boxed", Answer, lambda ys: Answer(MODSUM.combine([y.value for y in ys])))
+            xs = list(range(1, length + 1))
+            answer = evaluate(boxed, xs)
+            assert answer.value == solve(MODSUM, xs)
+            assert len(made) == 2**length - 1, (evaluate.__name__, length)
+            assert freed == list(range(len(made) - 1)), (evaluate.__name__, length)
+
+
+def test_the_row_path_hands_combine_each_row_as_a_fresh_list():
+    # combine may treat its argument as its own list, as td's calls allow: here it sorts it in place
+    median = SublistProblem("median", int, lambda ys: ys.sort() or ys[len(ys) // 2], input_kind="ints")
+    for xs in [[3, 1, 4, 1, 5], [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8]]:
+        assert bu(len(xs) - 1, median, xs) == memo_solve(median, xs), xs
+
+
+def test_levels_are_a_row_of_pascals_triangle_as_wide_as_predicted():
+    # m elements make m levels of C(m, 1), ..., C(m, m) answers, the widest as predicted_cost states;
+    # modsum takes the column path, maxmin the row path
+    for problem in [MODSUM, MAXMIN]:
+        for m in range(1, 15):
+            xs = example_input(problem, m)
+            copies = [list(level) for level in solver.levels(problem, xs)]
+            sizes = [len(level) for level in copies]
+            assert sizes == [comb(m, k) for k in range(1, m + 1)], (problem.name, m)
+            assert max(sizes) == solver.predicted_cost("bu", m - 1).peak_level_tips, (problem.name, m)
 
 
 def test_run_with_stats_returns_the_bare_value():
