@@ -68,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="emit CSV cost-comparison rows")
     bench.add_argument("--max-len", dest="max_len", type=int, default=9)
-    bench.add_argument("--problem", default="trace")
     return parser
 
 
@@ -179,9 +178,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     # row n counts the calls on n + 1 elements, up to td's cap
     if not 0 <= args.max_len <= TD_MAX_INPUT - 1:
         return _usage(f"--max-len must be between 0 and {TD_MAX_INPUT - 1}")
-    # the counts are the same for every problem, but the name must still be a registered one
-    if instances.get_problem(args.problem) is None:
-        return _usage(f"unknown problem {args.problem!r}")
     print("n,td_g_calls,bu_g_calls")
     for n in range(0, args.max_len + 1):
         td_cost = solver.predicted_cost(solver.Algorithm.TOP_DOWN, n)

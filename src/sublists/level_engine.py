@@ -20,10 +20,9 @@ MalformedLevel naming the clause that failed.
 
 from __future__ import annotations
 
-from array import array
 from itertools import chain, repeat
 from math import comb
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from .combinatorics import choose, subs
@@ -100,13 +99,12 @@ def gather_plan(m: int) -> tuple[tuple[Callable, ...], ...]:
     stored up to 10 elements; ``raise_level`` splits a longer input's levels down to 10 and gathers
     the parts by these plans.
 
-    The positions, counted from the level's end (p - C(s, k)), come from a table grown a length at
-    a time by ``up``'s clause 4, node(zip snoc (up t) u, up u), on positions: plan (k, m'+1) is plan
-    (k-1, m') shifted by -C(m', k), row j snoc'd with u's tip j - C(m', k), then plan (k, m'), as
-    16-bit ``array``s. The table is dropped once the getters are built; they share one int per
-    distinct position. Each length's getters are built on its first call and kept (s * 2**(s-1) - s
-    positions, 5,110 at 10), so a later call builds nothing. Threads that ask for a new length at
-    once may each build it; each gets whole getters, published in one assignment.
+    The positions, counted from the level's end (p - C(s, k)), are level k of positions split by
+    ``up``'s clause 4: ``_blocks`` with no plan, as ``raise_level`` splits a level above 10. The
+    getters share one int per distinct position. Each length's getters are built on its first call
+    and kept (s * 2**(s-1) - s positions, 5,110 at 10), so a later call builds nothing. Threads that
+    ask for a new length at once may each build it; each gets whole getters, published in one
+    assignment.
     """
     m = min(m, _STORED)
     plans = _plans.get(m)
@@ -116,21 +114,13 @@ def gather_plan(m: int) -> tuple[tuple[Callable, ...], ...]:
 
 
 def _columns(m: int) -> tuple[tuple[Callable, ...], ...]:
-    """``gather_plan(m)``, built: the m-element table of positions, read into column getters."""
-    table: tuple[array, ...] = ()
-    for mp in range(1, m + 1):
-        plans = [array("h", [-1]) * mp]  # k = 0: every singleton gathers the one answer of level 0
-        for k in range(1, mp):
-            keep = comb(mp - 1, k)  # rows that keep the first element, from (k-1, m'-1)
-            kept = map(add, table[k - 1], repeat(-keep))
-            plan = array("h", chain.from_iterable(zip(*[kept] * k, range(-keep, 0))))
-            plans.append(plan + table[k] if k < mp - 1 else plan)  # (m'-1, m'-1) has no rows
-        table = tuple(plans)
-    pool = tuple(range(-comb(m, m // 2), 0))  # pool[p] is p, one object for every getter
-    return tuple(
-        tuple(_column([pool[p] for p in plan[i :: k + 1]]) for i in range(k + 1))
-        for k, plan in enumerate(table[1:], start=1)
-    )
+    """``gather_plan(m)``, built: each level of positions split by ``_blocks`` with no plan, into getters."""
+    pool = list(range(-comb(m, m // 2), 0))  # one int object for every getter's position
+    plans = []
+    for k in range(1, m):
+        blocks = [columns for _, columns in _blocks(pool[len(pool) - comb(m, k) :], 0, k, m, ())]
+        plans.append(tuple(_column(list(chain.from_iterable(column))) for column in zip(*blocks)))
+    return tuple(plans)
 
 
 def _column(positions: list[int]) -> Callable:

@@ -103,9 +103,6 @@ MUTANTS = [
      "maxmin's combine raises hi on a larger answer"),
     ("instances.py", 'SublistProblem("trace", str,', 'SublistProblem("trace", repr,',
      "trace's base is str"),
-    # broken code that earlier changes were checked against
-    ("level_engine.py", "zip(*[kept] * k, range(-keep, 0))", "zip(range(-keep, 0), *[kept] * k)",
-     "each gather plan row lists the immediate sublists in subs order"),
     # the split of a level above the stored length by up's clause 4, held by the up-flat law's
     # blocks split by clause 4 alone, with no plan, and by bu above 10 elements
     ("level_engine.py", "    cut = comb(m - 1, k - 1)  #", "    cut = comb(m - 1, k - 1) + 1  #",
@@ -136,8 +133,6 @@ MUTANTS = [
      "the stored plans reach 10 elements (the values stay right, split one level more)"),
     ("level_engine.py", "plans = _plans[m] = _columns(m)", "plans = _columns(m)",
      "each length's getters are built once; a warm call builds nothing"),
-    ("level_engine.py", "plan[i :: k + 1]", "plan[i :: k]",
-     "the getter of column i takes every row's i-th position, k + 1 to a row"),
     ("level_engine.py", "[column(level) for column in plans[k - 1]]", "[column(level) for column in plans[k - 1][:k]]",
      "a block gathered by a plan gets every one of its k + 1 columns"),
     ("level_engine.py", "    if len(positions) > 1:\n", "    if len(positions) > 0:\n",
@@ -146,6 +141,12 @@ MUTANTS = [
      "a one-row column at the level's last position slices to the level's end"),
     ("level_engine.py", "range(-comb(m, m // 2), 0)", "range(-comb(m, m // 2 - 1), 0)",
      "the position pool reaches the widest level, C(m, m // 2) answers"),
+    ("level_engine.py", "pool[len(pool) - comb(m, k) :]", "pool[len(pool) - comb(m, k) - 1 :]",
+     "the getters are built from level k of positions, its C(m, k) last"),
+    ("level_engine.py", "    for k in range(1, m):\n", "    for k in range(1, m - 1):\n",
+     "every level, the last included, gets its plan"),
+    ("level_engine.py", "_column(list(chain.from_iterable(column)))", "_column(list(column[0]))",
+     "a getter's column runs across every block of the split level"),
     ("laws.py", "(level_engine.gather_plan(n), ())", "(level_engine.gather_plan(n),)",
      "the laws also gather by clause 4 alone, with no plan, as bu does above 10 elements"),
     # the one level step, raise_level, taken by bu and the laws alike
