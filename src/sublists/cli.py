@@ -15,8 +15,9 @@ Subcommands:
   ``solver.predicted_cost``, running neither; rows stop at ``TD_MAX_INPUT``.
 
 Exit codes: 0 success, 1 a law or equivalence check failed, 2 usage
-error (unknown problem, malformed input, out-of-range parameters), 141
-stdout's reader left before the output was all written (128 + SIGPIPE).
+error (unknown problem, malformed input, out-of-range parameters) or a
+library refusal (a ``SublistsError``), 141 stdout's reader left before the
+output was all written (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -84,8 +85,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         xs = instances.parse_input(problem, args.input)
     except ValueError as exc:
         return _usage(str(exc))
-    if len(xs) == 0:
-        return _usage("input is empty")
     if len(xs) > RUN_MAX_INPUT:
         return _usage(f"input length {len(xs)} exceeds the limit of {RUN_MAX_INPUT}")
     if args.algo != "bu" and len(xs) > TD_MAX_INPUT:
@@ -163,10 +162,6 @@ def cmd_dump(args: argparse.Namespace) -> int:
     xs = args.input
     if len(xs) > RUN_MAX_INPUT:
         return _usage(f"input length {len(xs)} exceeds the limit of {RUN_MAX_INPUT}")
-    if not 0 <= args.k <= len(xs):
-        return _usage(f"--k must be between 0 and the input length {len(xs)}")
-    if args.stage == "after-up" and not 1 <= args.k < len(xs):
-        return _usage("--stage after-up needs 1 <= k < input length")
     t = comb.ch(args.k, xs)
     if args.stage == "after-up":
         t = lvl.up(t)
@@ -195,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
         code = _HANDLERS[args.command](args)
         sys.stdout.flush()  # a reader gone early is met here, not in the flush at exit
     except SublistsError as exc:
-        # domain errors reaching here mean the request itself was unusable
+        # the library's refusals: an empty input, --k out of range, after-up on a single tip
         return _usage(str(exc))
     except BrokenPipeError:  # the rest goes to devnull, so the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -20,6 +20,7 @@ MalformedLevel naming the clause that failed.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import chain, repeat
 from math import comb
 from operator import itemgetter
@@ -85,7 +86,6 @@ def up(t: BinomialTree[A]) -> BinomialTree[list[A]]:
 
 
 _STORED = 10  # the longest stored plan; longer levels are gathered by up's clause 4
-_plans: dict[int, tuple[tuple[Callable, ...], ...]] = {}  # gather_plan's answer for each length built so far
 
 
 def gather_plan(m: int) -> tuple[tuple[Callable, ...], ...]:
@@ -102,17 +102,13 @@ def gather_plan(m: int) -> tuple[tuple[Callable, ...], ...]:
     The positions, counted from the level's end (p - C(s, k)), are level k of positions split by
     ``up``'s clause 4: ``_blocks`` with no plan, as ``raise_level`` splits a level above 10. The
     getters share one int per distinct position. Each length's getters are built on its first call
-    and kept (s * 2**(s-1) - s positions, 5,110 at 10), so a later call builds nothing. Threads that
-    ask for a new length at once may each build it; each gets whole getters, published in one
-    assignment.
+    and kept by ``_columns``' cache (s * 2**(s-1) - s positions, 5,110 at 10), so a later call builds
+    nothing. Threads that ask for a new length at once may each build it; each gets whole getters.
     """
-    m = min(m, _STORED)
-    plans = _plans.get(m)
-    if plans is None:
-        plans = _plans[m] = _columns(m)
-    return plans
+    return _columns(min(m, _STORED))
 
 
+@cache  # gather_plan's answer for each length asked for so far
 def _columns(m: int) -> tuple[tuple[Callable, ...], ...]:
     """``gather_plan(m)``, built: each level of positions split by ``_blocks`` with no plan, into getters."""
     pool = list(range(-comb(m, m // 2), 0))  # one int object for every getter's position

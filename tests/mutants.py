@@ -127,11 +127,11 @@ MUTANTS = [
     # mutant here is equivalent and not listed: == -> <= in _blocks' base changes nothing, since
     # every caller passes plans of exactly the length the split reaches (gather_plan(m) for
     # m <= 10 at the top, 10 from above, and () never reaches m = 1)
-    ("level_engine.py", "    m = min(m, _STORED)\n", "    m = min(m + 1, _STORED)\n",
+    ("level_engine.py", "_columns(min(m, _STORED))", "_columns(min(m + 1, _STORED))",
      "gather_plan answers for min(m, 10) elements, not one more"),
-    ("level_engine.py", "    m = min(m, _STORED)\n", "    m = min(m, _STORED - 1)\n",
+    ("level_engine.py", "_columns(min(m, _STORED))", "_columns(min(m, _STORED - 1))",
      "the stored plans reach 10 elements (the values stay right, split one level more)"),
-    ("level_engine.py", "plans = _plans[m] = _columns(m)", "plans = _columns(m)",
+    ("level_engine.py", "@cache  # gather_plan's answer for each length asked for so far\n", "",
      "each length's getters are built once; a warm call builds nothing"),
     ("level_engine.py", "[column(level) for column in plans[k - 1]]", "[column(level) for column in plans[k - 1][:k]]",
      "a block gathered by a plan gets every one of its k + 1 columns"),
@@ -173,9 +173,11 @@ MUTANTS = [
      "an empty input is refused before any evaluator runs"),
     ("solver.py", "expects length {1 + n}", "expects length {1 - n}",
      "a length mismatch names the length the index expects"),
+    ("solver.py", "expects length {1 + n}", "expects length {2 + n}",
+     "a length mismatch names n + 1, not n + 2"),
     # both sides of every CLI cap: the refusing side is a corpus record, the accepting side a
     # corpus record (bench) or a request that reaches a patched function (test_cli.py)
-    ("cli.py", '"input is empty")\n    if len(xs) > RUN_MAX_INPUT:', '"input is empty")\n    if len(xs) >= RUN_MAX_INPUT:',
+    ("cli.py", "return _usage(str(exc))\n    if len(xs) > RUN_MAX_INPUT:", "return _usage(str(exc))\n    if len(xs) >= RUN_MAX_INPUT:",
      "run --algo bu accepts 20 elements"),
     ("cli.py", 'args.algo != "bu" and len(xs) > TD_MAX_INPUT', 'args.algo != "bu" and len(xs) >= TD_MAX_INPUT',
      "run accepts 10 elements wherever td runs"),

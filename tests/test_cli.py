@@ -62,6 +62,14 @@ def reached(*args):
     raise Reached(*args)
 
 
+def test_an_empty_input_is_refused_by_the_library_before_any_work(capsys, monkeypatch):
+    monkeypatch.setattr(solver, "_td", reached)
+    monkeypatch.setattr(level_engine, "gather_plan", reached)
+    for algo in ["td", "bu", "both"]:
+        argv = ["run", "--problem", "modsum", "--input", "", "--algo", algo]
+        assert run_cli(capsys, *argv) == (2, "", "error: cannot solve an empty input\n"), algo
+
+
 @pytest.mark.parametrize("argv, module, name", [
     (["run", "--problem", "modsum", "--input", ",".join(map(str, range(1, 21))), "--algo", "bu"],
      solver, "run_with_stats"),

@@ -224,9 +224,9 @@ def _applied(plans, m: int) -> list[list[list]]:
     return [gather(list(range(comb(m, k))), plan) for k, plan in enumerate(plans, start=1)]
 
 
-def test_gather_plans_are_cached_column_getters_over_pooled_positions(monkeypatch):
-    # tests share one process, so start from an empty cache and give the old one back after
-    monkeypatch.setattr(level_engine, "_plans", {})
+def test_gather_plans_are_cached_column_getters_over_pooled_positions():
+    # tests share one process, so start from an empty cache
+    level_engine._columns.cache_clear()
     plans = level_engine.gather_plan(7)
     assert [len(plan) for plan in plans] == [k + 1 for k in range(1, 7)]
     assert all(type(column) is operator.itemgetter for plan in plans for column in plan)
@@ -241,13 +241,13 @@ def test_gather_plans_are_cached_column_getters_over_pooled_positions(monkeypatc
     # a warm call, or a longer length, builds nothing; each position is one int object
     assert level_engine.gather_plan(7) is plans
     assert level_engine.gather_plan(20) is level_engine.gather_plan(10) is level_engine.gather_plan(12)
-    assert list(level_engine._plans) == [7, 1, 2, 10]
+    assert level_engine._columns.cache_info().currsize == 4  # 7, 1, 2 and 10
     items = [p for plan in level_engine.gather_plan(10)[:-1] for column in plan for p in column.__reduce__()[1]]
     assert len({id(p) for p in items}) == len(set(items)) == comb(10, 5)
 
     # only the lengths asked for stay resident, each its getters and one pool; the window's ends
     # collect, since the interpreter keeps freed tuples on free lists that tracemalloc still counts
-    monkeypatch.setattr(level_engine, "_plans", {})
+    level_engine._columns.cache_clear()
     tracemalloc.start()
     try:
         gc.collect()
@@ -258,13 +258,13 @@ def test_gather_plans_are_cached_column_getters_over_pooled_positions(monkeypatc
         resident = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert list(level_engine._plans) == [9, 10]
+    assert level_engine._columns.cache_info().currsize == 2  # 9 and 10
     assert sum(len(column.__reduce__()[1]) for plan in level_engine.gather_plan(10) for column in plan) == 5_110
     alone = _resident(level_engine.gather_plan(9), level_engine.gather_plan(10))
-    assert alone <= resident < alone + 1024  # a 10-element pool tuple would add 2 KiB, its table 10 KiB
+    assert alone <= resident < alone + 1024  # a 10-element pool tuple would add 2 KiB
 
 
-def test_concurrent_readers_see_only_whole_plans(monkeypatch):
+def test_concurrent_readers_see_only_whole_plans():
     # threads build and read the shared cache at once; each must get exactly the plans
     lengths = list(range(1, 11))
     expected = {m: _applied(level_engine.gather_plan(m), m) for m in lengths}
@@ -285,7 +285,7 @@ def test_concurrent_readers_see_only_whole_plans(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(10):
-            monkeypatch.setattr(level_engine, "_plans", {})
+            level_engine._columns.cache_clear()
             barrier = threading.Barrier(len(orders))
             threads = [threading.Thread(target=read, args=(barrier, order)) for order in orders]
             for thread in threads:
@@ -298,14 +298,14 @@ def test_concurrent_readers_see_only_whole_plans(monkeypatch):
     assert wrong == []
 
 
-def test_solve_on_20_ints_leaves_only_the_10_element_getters_resident(monkeypatch):
+def test_solve_on_20_ints_leaves_only_the_10_element_getters_resident():
     # above 10 elements levels split by up's clause 4 down to 10, so a longer length gets the
     # 10-element plans and no longer plan is built
     assert level_engine.gather_plan(20) is level_engine.gather_plan(10)
     # the problem passes column 0 through, so the gather is all that runs; the window's ends
     # collect, as in the cache test above
     first = SublistProblem("first", int, lambda ys: ys[0], combine_level=lambda columns: list(columns[0]))
-    monkeypatch.setattr(level_engine, "_plans", {})
+    level_engine._columns.cache_clear()
     tracemalloc.start()
     try:
         gc.collect()
@@ -315,7 +315,7 @@ def test_solve_on_20_ints_leaves_only_the_10_element_getters_resident(monkeypatc
         resident = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert list(level_engine._plans) == [10]
+    assert level_engine._columns.cache_info().currsize == 1  # 10
     alone = _resident(level_engine.gather_plan(10))
     assert alone <= resident < alone + 1024
 
