@@ -16,6 +16,7 @@ import contextlib
 import io
 import json
 import os
+import random
 from pathlib import Path
 
 from sublists.cli import main
@@ -42,6 +43,12 @@ def _requests() -> dict[str, list[list[str]]]:
     for fmt in ["text", "json"]:
         run.append(["run", "--problem", "maxmin", "--input", "3,1,4,1,5", "--algo", "both", "--format", fmt])
     run.append(["run", "--problem", "modsum", "--input=-1,2", "--format", "json"])
+    # 16 elements: bu splits each level above 10 by up's clause 4, on the column and the row path
+    rng = random.Random(16)
+    negatives = ",".join(str(rng.randint(-3_000_009, -1)) for _ in range(16))  # past -MODULUS too
+    run.append(["run", "--problem", "modsum", "--input", _inputs("modsum", 16)[-1], "--algo", "bu"])
+    run.append(["run", "--problem", "modsum", f"--input={negatives}", "--algo", "bu"])
+    run.append(["run", "--problem", "maxmin", f"--input={negatives}", "--algo", "bu"])  # 1 on 1..16
 
     verify = [
         ["verify", "--max-len", str(m), "--format", fmt] for m in range(1, 9) for fmt in ["text", "json"]
