@@ -18,7 +18,7 @@ Three problems ship with the package. Each is specified by its one-line
 from __future__ import annotations
 
 from itertools import repeat
-from operator import add, mul
+from operator import mul
 from string import ascii_lowercase
 from typing import Iterable
 
@@ -51,12 +51,10 @@ def _modsum_combine(ys: list[int]) -> int:
 
 
 def _modsum_combine_level(columns: list[Iterable[int]]) -> list[int]:
-    # column i holds every row's i-th answer: weight the columns and add them up lazily,
-    # so the answers are the only list built
-    acc = iter(columns[0])
-    for i, col in enumerate(columns[1:], start=2):
-        acc = map(add, acc, map(mul, col, repeat(i)))
-    return [(1 + a) % MODULUS for a in acc]
+    # column i holds every row's i-th answer: weight the columns lazily and let sum, started
+    # at 1, add up each row in C, so the answers are the only list built
+    weighted = [map(mul, col, repeat(i)) for i, col in enumerate(columns[1:], start=2)]
+    return [s % MODULUS for s in map(sum, zip(columns[0], *weighted), repeat(1))]
 
 
 def _maxmin_base(x: int) -> int:

@@ -165,10 +165,16 @@ MUTANTS = [
      "the row path hands combine each row as a fresh list"),
     ("solver.py", "    for level in levels(problem, xs):\n        pass\n", "    for level in levels(problem, xs):\n        break\n",
      "bu answers from the last of the levels, not the first"),
-    ("instances.py", "    acc = iter(columns[0])\n", "    columns = columns[::-1]\n    acc = iter(columns[0])\n",
+    ("instances.py", "    weighted = [", "    columns = columns[::-1]\n    weighted = [",
      "modsum's level combine weights its columns in order"),
-    ("instances.py", "    return [(1 + a) % MODULUS for a in acc]", "    return [1 + a for a in acc]",
+    ("instances.py", "[s % MODULUS for s in", "[s for s in",
      "modsum's level combine reduces by the modulus"),
+    ("instances.py", "enumerate(columns[1:], start=2)", "enumerate(columns[1:], start=1)",
+     "modsum's level combine weights column i by its 1-based position i + 1"),
+    ("instances.py", "zip(columns[0], *weighted), repeat(1))", "zip(columns[0], *weighted), repeat(0))",
+     "modsum's level combine adds the 1 to each row"),
+    ("instances.py", "zip(columns[0], *weighted)", "zip(*weighted)",
+     "modsum's level combine adds in each row's first answer"),
     ("solver.py", "    if n < 0:", "    if n < -1:",
      "an empty input is refused before any evaluator runs"),
     ("solver.py", "expects length {1 + n}", "expects length {1 - n}",

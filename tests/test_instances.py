@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -36,7 +38,8 @@ def test_combine_functions():
 
 
 # small values repeat often; unbounded ones run negative and past MODULUS
-answer_lists = st.lists(st.integers(-3, 3) | st.integers(), min_size=1, max_size=20)
+answers = st.integers(-3, 3) | st.integers()
+answer_lists = st.lists(answers, min_size=1, max_size=20)
 
 
 @given(ys=answer_lists)
@@ -45,6 +48,25 @@ def test_int_combines_meet_their_one_line_definitions(ys):
     # combine, so their agreement cannot catch a wrong one
     assert MAXMIN.combine(ys) == max(ys) - min(ys)
     assert MODSUM.combine(ys) == (1 + sum(i * y for i, y in enumerate(ys, 1))) % MODULUS
+
+
+@given(
+    columns=st.integers(1, 20).flatmap(
+        lambda rows: st.lists(st.lists(answers, min_size=rows, max_size=rows), min_size=2, max_size=16)
+    ),
+    form=st.sampled_from([tuple, list, iter]),
+    first_repeated=st.booleans(),
+)
+def test_modsum_level_combine_is_combine_on_each_row(columns, form, first_repeated):
+    # bu hands over columns as tuples (getters) and lists (slices), and above 10 elements a
+    # k = 1 block whose first column is one answer repeated, bounded by the others
+    if first_repeated:
+        columns[0] = columns[0][:1] * len(columns[0])
+    expected = list(map(MODSUM.combine, map(list, zip(*columns))))
+    handed = [form(col) for col in columns]
+    if first_repeated:
+        handed[0] = itertools.repeat(columns[0][0], len(columns[0]))
+    assert MODSUM.combine_level(handed) == expected
 
 
 @given(x=st.characters() | st.integers())
