@@ -52,7 +52,7 @@ def _modsum_combine(ys: list[int]) -> int:
 
 def _modsum_combine_level(columns: list[Iterable[int]]) -> list[int]:
     # column i holds every row's i-th answer: weight the columns lazily and let sum, started
-    # at 1, add up each row in C, so the answers are the only list built
+    # at 1, add up each row in C; the answers are the only list as long as a column
     weighted = [map(mul, col, repeat(i)) for i, col in enumerate(columns[1:], start=2)]
     return [s % MODULUS for s in map(sum, zip(columns[0], *weighted), repeat(1))]
 

@@ -55,8 +55,8 @@ class SublistProblem(Generic[X, Y]):
     definition. ``replace(problem, combine=...)`` keeps the
     old ``combine_level``, so clear or replace it in the same call.
     What it buys, measured for ``modsum`` on Python 3.11.7 (in-process,
-    best of 31): its row path takes ×1.31–1.33 the column path's time at
-    12 ints, ×1.23–1.25 at 15 and ×1.22–1.23 at 16.
+    best of 31): its row path takes ×1.45–1.47 the column path's time at
+    12 ints, ×1.43–1.46 at 15 and ×1.45–1.48 at 16.
     """
 
     name: str
