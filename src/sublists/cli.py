@@ -23,7 +23,6 @@ output was all written (128 + SIGPIPE).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -108,7 +107,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "problem": problem.name,
             "input": args.input,
             "results": {
-                algo.value: {"value": value, "stats": dataclasses.asdict(stats)}
+                algo.value: {"value": value, "stats": vars(stats)}
                 for algo, value, stats in outcomes
             },
         }

@@ -41,8 +41,16 @@ def _modsum_base(x: int) -> int:
 
 
 def _modsum_combine(ys: list[int]) -> int:
-    # a loop, because td calls this c(n) times, mostly on two answers, where it is cheaper
-    # than a sum over a map: the suffix sums s, added up, weight each y by its 1-based position
+    # td calls this c(n) times, at 8 elements 93% of them on its four-element clause's pairs and
+    # triples, so those are written out; longer lists take a loop, cheaper than a sum over a
+    # map: the suffix sums s, added up, weight each y by its 1-based position
+    n = len(ys)
+    if n == 2:
+        a, b = ys
+        return (1 + a + 2 * b) % MODULUS
+    if n == 3:
+        a, b, c = ys
+        return (1 + a + 2 * b + 3 * c) % MODULUS
     s = t = 0
     for y in reversed(ys):
         s += y
@@ -62,8 +70,11 @@ def _maxmin_base(x: int) -> int:
 
 
 def _maxmin_combine(ys: list[int]) -> int:
-    # a loop, because td calls this c(n) times, mostly on two answers, where the builtins
-    # max and min cost more per call than one pass of comparisons
+    # td calls this c(n) times, mostly on pairs, which are written out; longer lists take one
+    # pass of comparisons, which costs less per call than the builtins max and min
+    if len(ys) == 2:
+        a, b = ys
+        return abs(a - b)
     lo = hi = ys[0]
     for y in ys:
         if y < lo:

@@ -101,6 +101,20 @@ MUTANTS = [
      "maxmin's combine lowers lo on a smaller answer"),
     ("instances.py", "            hi = y\n", "            lo = y\n",
      "maxmin's combine raises hi on a larger answer"),
+    # the written-out pairs and triples that td's four-element clause hands combine, held by
+    # the deterministic lengths 1-6 in test_instances.py
+    ("instances.py", "(1 + a + 2 * b) % MODULUS", "(1 + a + b) % MODULUS",
+     "modsum's pair clause weights its second answer by 2"),
+    ("instances.py", "(1 + a + 2 * b) % MODULUS", "(a + 2 * b) % MODULUS",
+     "modsum's pair clause adds one before the modulus"),
+    ("instances.py", "(1 + a + 2 * b + 3 * c)", "(a + 2 * b + 3 * c)",
+     "modsum's triple clause adds one before the modulus"),
+    ("instances.py", "+ 2 * b + 3 * c", "+ b + 3 * c",
+     "modsum's triple clause weights its second answer by 2"),
+    ("instances.py", "3 * c", "2 * c",
+     "modsum's triple clause weights its third answer by 3"),
+    ("instances.py", "abs(a - b)", "(a - b)",
+     "maxmin's pair clause is the larger minus the smaller"),
     ("instances.py", 'SublistProblem("trace", str,', 'SublistProblem("trace", repr,',
      "trace's base is str"),
     # the split of a level above the stored length by up's clause 4, held by the up-flat law's

@@ -50,6 +50,25 @@ def test_int_combines_meet_their_one_line_definitions(ys):
     assert MODSUM.combine(ys) == (1 + sum(i * y for i, y in enumerate(ys, 1))) % MODULUS
 
 
+@pytest.mark.parametrize("length", range(1, 7))
+def test_int_combines_meet_their_definitions_at_every_written_out_length(length):
+    # the pair and triple clauses and the loop around them, on every run: equal answers,
+    # negatives and answers past MODULUS, which a Hypothesis run may not draw at these lengths
+    big = 3 * MODULUS + 7
+    for ys in (
+        [4] * length,
+        [-5] * length,
+        [big] * length,
+        [(-1) ** i * (i + 1) for i in range(length)],
+        [big - 11 * i for i in range(length)],
+        [-big + 2 * i for i in range(length)],
+        [*[MODULUS - 1] * (length - 1), -MODULUS],
+    ):
+        assert MODSUM.combine(ys) == (1 + sum(i * y for i, y in enumerate(ys, 1))) % MODULUS, ys
+        assert MAXMIN.combine(ys) == max(ys) - min(ys), ys
+        assert MAXMIN.combine(ys[::-1]) == max(ys) - min(ys), ys
+
+
 @given(
     columns=st.integers(1, 20).flatmap(
         lambda rows: st.lists(st.lists(answers, min_size=rows, max_size=rows), min_size=2, max_size=16)

@@ -112,6 +112,29 @@ def test_td_calls_subs_on_five_or_more_elements_and_on_inputs_under_four(monkeyp
     assert calls == {"subs": 401, "_td": 2_081}
 
 
+def test_td_hands_combine_mostly_pairs_and_triples():
+    # the lengths that modsum's and maxmin's combine write out: each four-element frame makes
+    # 12 pair, 4 triple and 1 quad combines, and each sublist of five or more elements one combine
+    for m in range(1, 9):
+        lengths = []
+
+        def combine(ys):
+            lengths.append(len(ys))
+            return "".join(ys)
+
+        td(m - 1, replace(TRACE, combine=combine), prefix(m))
+        if m >= 4:
+            frames = factorial(m) // factorial(4)
+            expected = {2: 12 * frames, 3: 4 * frames, 4: frames}
+            expected.update({j: factorial(m) // factorial(j) for j in range(5, m + 1)})
+        else:
+            expected = {1: {}, 2: {2: 1}, 3: {2: 3, 3: 1}}[m]
+        counts = {j: lengths.count(j) for j in set(lengths)}
+        assert counts == expected, m
+        assert len(lengths) == solver.predicted_cost("td", m - 1).g_calls
+    assert (counts[2] + counts[3], len(lengths)) == (26_880, 28_961)  # 93% at 8 elements
+
+
 def test_length_mismatch_is_rejected():
     with pytest.raises(LengthMismatch, match="index 2 expects length 3, got 2"):
         td(2, TRACE, "ab")
