@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import tracemalloc
 import weakref
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 from math import comb, factorial
@@ -129,7 +130,7 @@ def test_td_hands_combine_mostly_pairs_and_triples():
             expected.update({j: factorial(m) // factorial(j) for j in range(5, m + 1)})
         else:
             expected = {1: {}, 2: {2: 1}, 3: {2: 3, 3: 1}}[m]
-        counts = {j: lengths.count(j) for j in set(lengths)}
+        counts = Counter(lengths)
         assert counts == expected, m
         assert len(lengths) == solver.predicted_cost("td", m - 1).g_calls
     assert (counts[2] + counts[3], len(lengths)) == (26_880, 28_961)  # 93% at 8 elements
