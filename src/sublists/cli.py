@@ -6,9 +6,10 @@ Subcommands:
   both with an EQUAL/DIFFER verdict. Inputs are capped at ``RUN_MAX_INPUT``
   elements, at ``TD_MAX_INPUT`` wherever ``td`` runs (``verify`` keeps
   ``td`` within it too) and at ``TRACE_MAX_INPUT`` for ``trace``.
-* ``verify``: replay the law registry (``sublists.laws``) over alphabet
-  prefixes and print per-law pass counts; the first counterexample stops
-  the sweep.
+* ``verify``: replay the law registry (``sublists.laws``) on one input of
+  each length up to ``--max-len``, alphabet prefixes or a problem's ints
+  1..n, and print per-law pass counts; the first counterexample stops the
+  sweep.
 * ``dump``: print a choice tree (or its raised form) as canonical JSON.
   Inputs longer than ``RUN_MAX_INPUT`` are refused before any tree is built.
 * ``bench``: emit CSV rows of the two evaluators' combine-call counts, from

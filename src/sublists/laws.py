@@ -1,13 +1,14 @@
 """The library's laws, as one replayable registry.
 
-Each law takes a maximum input length and yields ``(info, lhs, rhs)``
-cases: ``info`` names the input (and the level ``k``) a case was built
-from, and the law holds on that case when ``lhs == rhs``. ``replay`` runs
-one law, counts its cases and raises ``Counterexample`` at the first case
-whose sides differ. ``sublists verify`` prints what ``replay_all`` returns,
-and the acceptance tests replay the same registry. ``run_with_stats``
-reports both evaluators' counts from their closed forms, ``predicted_cost``,
-and the ``calls`` law checks them against the calls of the run it makes.
+Each law takes one input ``xs`` (a problem law its problem first) and yields ``(info, lhs, rhs)``
+cases: ``info`` names the input (and the level ``k``) a case was built from, and the law holds on that
+case when ``lhs == rhs``. ``replay`` alone chooses the inputs, one of each length up to a maximum:
+alphabet prefixes from two letters for the structural laws and from one for ``calls``, and the
+problem's ``example_input`` (ints 1..n for ``modsum`` and ``maxmin``) for ``td-bu`` and
+``combine-level``. It counts the cases and raises ``Counterexample`` at the first case whose sides
+differ. ``sublists verify`` prints what ``replay_all`` returns, and the acceptance tests replay the
+same registry. ``run_with_stats`` reports both evaluators' counts from their closed forms,
+``predicted_cost``, and the ``calls`` law checks them against the calls of the run it makes.
 
 Laws reach ``level_engine.up``, ``gather_plan`` and ``raise_level``, ``solver.td``, ``solver.bu``,
 ``solver.levels`` (``bu``'s walk, which the ``combine-level`` law walks too) and
@@ -26,14 +27,14 @@ import json
 import math
 from dataclasses import replace
 from string import ascii_lowercase
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 from . import combinatorics as comb
 from . import core_tree as tree
 from . import instances, level_engine, solver
 
 Case = tuple[dict[str, Any], Any, Any]
-Law = Callable[[int], Iterator[Case]]
+Law = Callable[[Sequence], Iterator[Case]]
 
 
 class Counterexample(Exception):
@@ -45,26 +46,18 @@ class Counterexample(Exception):
         self.info = info
 
 
-def _prefixes(max_len: int) -> Iterator[tuple[int, str]]:
-    for n in range(2, max_len + 1):
-        yield n, ascii_lowercase[:n]
-
-
-def upgrade_level(max_len: int) -> Iterator[Case]:
+def upgrade_level(xs: Sequence) -> Iterator[Case]:
     """Raising the level-k tree equals mapping subs over the level-k+1 tree."""
-    for n, xs in _prefixes(max_len):
-        for k in range(1, n):
-            lhs = level_engine.up(comb.ch(k, xs))
-            rhs = tree.map_tree(comb.subs, comb.ch(k + 1, xs))
-            yield {"input": xs, "k": k}, lhs, rhs
+    for k in range(1, len(xs)):
+        lhs = level_engine.up(comb.ch(k, xs))
+        yield {"input": xs, "k": k}, lhs, tree.map_tree(comb.subs, comb.ch(k + 1, xs))
 
 
-def upgrade_tips(max_len: int) -> Iterator[Case]:
+def upgrade_tips(xs: Sequence) -> Iterator[Case]:
     """Tips of the raised tree equal the list-level oracle, in order."""
-    for n, xs in _prefixes(max_len):
-        for k in range(1, n):
-            lhs = tree.tips(level_engine.up(comb.ch(k, xs)))
-            yield {"input": xs, "k": k}, lhs, level_engine.upgrade_oracle(k, xs)
+    for k in range(1, len(xs)):
+        lhs = tree.tips(level_engine.up(comb.ch(k, xs)))
+        yield {"input": xs, "k": k}, lhs, level_engine.upgrade_oracle(k, xs)
 
 
 def _raised(level: list, k: int, n: int, combine_level: Callable[[list], list]) -> list[list]:
@@ -74,93 +67,87 @@ def _raised(level: list, k: int, n: int, combine_level: Callable[[list], list]) 
             for plans in (level_engine.gather_plan(n), ())]
 
 
-def gathered_tips(max_len: int) -> Iterator[Case]:
+def gathered_tips(xs: Sequence) -> Iterator[Case]:
     """Gathering the level's tips in blocks, by the length's plans or by clause 4 alone, gives the
     raised tree's tips."""
-    for n, xs in _prefixes(max_len):
-        for k in range(1, n):
-            t = comb.ch(k, xs)
-            lhs = _raised(tree.tips(t), k, n, lambda columns: list(map(list, zip(*columns))))
-            yield {"input": xs, "k": k}, lhs, 2 * [tree.tips(level_engine.up(t))]
+    for k in range(1, len(xs)):
+        t = comb.ch(k, xs)
+        lhs = _raised(tree.tips(t), k, len(xs), lambda columns: list(map(list, zip(*columns))))
+        yield {"input": xs, "k": k}, lhs, 2 * [tree.tips(level_engine.up(t))]
 
 
-def singleton_collapse(max_len: int) -> Iterator[Case]:
+def singleton_collapse(xs: Sequence) -> Iterator[Case]:
     """One final raise of the level-(n-1) tree collapses to subs itself."""
-    for n, xs in _prefixes(max_len):
-        lhs = tree.un_tip(level_engine.up(comb.ch(n - 1, xs)))
-        yield {"input": xs}, lhs, comb.subs(xs)
+    yield {"input": xs}, tree.un_tip(level_engine.up(comb.ch(len(xs) - 1, xs))), comb.subs(xs)
 
 
-def pascal_spine(max_len: int) -> Iterator[Case]:
+def pascal_spine(xs: Sequence) -> Iterator[Case]:
     """Spine tip counts are Pascal diagonals: left C(n-j, k-j), right C(n-j, k), j steps down."""
-    for n, xs in _prefixes(max_len):
-        for k in range(1, n + 1):
-            spine = [comb.ch(k, xs)]
-            while isinstance(spine[-1], tree.Node):
-                spine.append(spine[-1].left)
-            lhs = [len(tree.tips(t)) for t in spine], comb.spine_sizes(spine[0])
-            left = [math.comb(n - j, k - j) for j in range(k + 1 if k < n else 1)]
-            yield {"input": xs, "k": k}, lhs, (left, [math.comb(n - j, k) for j in range(n - k + 1)])
+    n = len(xs)
+    for k in range(1, n + 1):
+        spine = [comb.ch(k, xs)]
+        while isinstance(spine[-1], tree.Node):
+            spine.append(spine[-1].left)
+        lhs = [len(tree.tips(t)) for t in spine], comb.spine_sizes(spine[0])
+        left = [math.comb(n - j, k - j) for j in range(k + 1 if k < n else 1)]
+        yield {"input": xs, "k": k}, lhs, (left, [math.comb(n - j, k) for j in range(n - k + 1)])
 
 
-def shape_advance(max_len: int) -> Iterator[Case]:
+def shape_advance(xs: Sequence) -> Iterator[Case]:
     """Raising a (k, n) tree yields a (k+1, n) tree of (k+1)-long tips."""
-    for n, xs in _prefixes(max_len):
-        for k in range(1, n):
-            t = comb.ch(k, xs)
-            u = level_engine.up(t)
-            lhs = {
-                "before": comb.check_shape(t, (k, n)),
-                "after": comb.check_shape(u, (k + 1, n)),
-                "tip-length": all(len(v) == k + 1 for v in tree.tips(u)),
-            }
-            yield {"input": xs, "k": k}, lhs, dict.fromkeys(lhs, True)
+    n = len(xs)
+    for k in range(1, n):
+        t = comb.ch(k, xs)
+        u = level_engine.up(t)
+        lhs = {
+            "before": comb.check_shape(t, (k, n)),
+            "after": comb.check_shape(u, (k + 1, n)),
+            "tip-length": all(len(v) == k + 1 for v in tree.tips(u)),
+        }
+        yield {"input": xs, "k": k}, lhs, dict.fromkeys(lhs, True)
 
 
-def td_bu(problem: solver.SublistProblem, max_len: int) -> Iterator[Case]:
-    """The two evaluators agree on every distinct-symbol input."""
-    for length in range(1, max_len + 1):
-        xs = instances.example_input(problem, length)
-        lhs = solver.td(length - 1, problem, xs)
-        yield {"input": xs}, lhs, solver.bu(length - 1, problem, xs)
+def td_bu(problem: solver.SublistProblem, xs: Sequence) -> Iterator[Case]:
+    """The two evaluators agree on the input."""
+    yield {"input": xs}, solver.td(len(xs) - 1, problem, xs), solver.bu(len(xs) - 1, problem, xs)
 
 
-def calls(max_len: int) -> Iterator[Case]:
+def calls(xs: Sequence) -> Iterator[Case]:
     """The calls run_with_stats reports are those of its one run; bu takes the row path, one combine per row."""
-    for length in range(1, max_len + 1):
-        xs = ascii_lowercase[:length]
-        for algo in solver.Algorithm:
-            f_calls, g_calls = itertools.count(), itertools.count()
-            counting = solver.SublistProblem("counting", lambda _: next(f_calls), lambda _: next(g_calls))
-            _, stats = solver.run_with_stats(algo, length - 1, counting, xs)
-            yield {"input": xs, "algo": algo.value}, (next(f_calls), next(g_calls)), (stats.f_calls, stats.g_calls)
+    for algo in solver.Algorithm:
+        f_calls, g_calls = itertools.count(), itertools.count()
+        counting = solver.SublistProblem("counting", lambda _: next(f_calls), lambda _: next(g_calls))
+        _, stats = solver.run_with_stats(algo, len(xs) - 1, counting, xs)
+        yield {"input": xs, "algo": algo.value}, (next(f_calls), next(g_calls)), (stats.f_calls, stats.g_calls)
 
 
-def combine_level(problem: solver.SublistProblem, max_len: int) -> Iterator[Case]:
+def combine_level(problem: solver.SublistProblem, xs: Sequence) -> Iterator[Case]:
     """A block combine equals the row combine on every row of the problem's own levels, as ``_raised``
-    gathers them: levels 1 to n − 1 of ``solver.levels`` on ``example_input``, with no ``combine_level``."""
-    for n in range(2, max_len + 1):
-        xs = instances.example_input(problem, n)
-        for k, level in zip(range(1, n), solver.levels(replace(problem, combine_level=None), xs)):
-            rows = _raised(level, k, n, lambda columns: [problem.combine(list(row)) for row in zip(*columns)])
-            yield {"input": xs, "k": k}, _raised(level, k, n, problem.combine_level), rows
+    gathers them: levels 1 to n − 1 of ``solver.levels`` on ``xs``, with no ``combine_level``."""
+    n = len(xs)
+    for k, level in zip(range(1, n), solver.levels(replace(problem, combine_level=None), xs)):
+        rows = _raised(level, k, n, lambda columns: [problem.combine(list(row)) for row in zip(*columns)])
+        yield {"input": xs, "k": k}, _raised(level, k, n, problem.combine_level), rows
 
 
-def registry() -> dict[str, Law]:
-    """Every law by name, in the sorted order ``verify`` reports them."""
-    laws: dict[str, Law] = {
-        "calls": calls,
-        "pascal-spine": pascal_spine,
-        "shape-advance": shape_advance,
-        "singleton-collapse": singleton_collapse,
-        "up-flat": gathered_tips,
-        "upgrade-level": upgrade_level,
-        "upgrade-tips": upgrade_tips,
+def _letters(length: int) -> str:
+    return ascii_lowercase[:length]
+
+
+def registry() -> dict[str, tuple[Law, int, Callable[[int], Sequence]]]:
+    """Every law by name, in the sorted order ``verify`` reports them, with the inputs ``replay`` feeds
+    it: its first length, and the input it is given at each length."""
+    structural = {
+        "pascal-spine": pascal_spine, "shape-advance": shape_advance, "singleton-collapse": singleton_collapse,
+        "up-flat": gathered_tips, "upgrade-level": upgrade_level, "upgrade-tips": upgrade_tips,
     }
+    laws = {name: (law, 2, _letters) for name, law in structural.items()}
+    laws["calls"] = calls, 1, _letters
     for problem in instances.builtin_problems():
-        laws[f"td-bu[{problem.name}]"] = functools.partial(td_bu, problem)
+        example = functools.partial(instances.example_input, problem)
+        laws[f"td-bu[{problem.name}]"] = functools.partial(td_bu, problem), 1, example
         if problem.combine_level:
-            laws[f"combine-level[{problem.name}]"] = functools.partial(combine_level, problem)
+            laws[f"combine-level[{problem.name}]"] = functools.partial(combine_level, problem), 2, example
     return dict(sorted(laws.items()))
 
 
@@ -171,16 +158,19 @@ def _render(value: Any) -> str:
 
 
 def replay(name: str, max_len: int) -> int:
-    """Run the law ``name`` up to ``max_len``; return its case count.
+    """Run the law ``name`` on its input of each length, from its first up to ``max_len``; return its
+    case count.
 
     Raises Counterexample naming the law, the case's input and both
     sides (trees in canonical JSON, other values as compact JSON).
     """
+    law, first, make = registry()[name]
     cases = 0
-    for info, lhs, rhs in registry()[name](max_len):
-        if lhs != rhs:
-            raise Counterexample(name, {**info, "lhs": _render(lhs), "rhs": _render(rhs)})
-        cases += 1
+    for length in range(first, max_len + 1):
+        for info, lhs, rhs in law(make(length)):
+            if lhs != rhs:
+                raise Counterexample(name, {**info, "lhs": _render(lhs), "rhs": _render(rhs)})
+            cases += 1
     return cases
 
 

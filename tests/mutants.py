@@ -163,6 +163,20 @@ MUTANTS = [
      "a getter's column runs across every block of the split level"),
     ("laws.py", "(level_engine.gather_plan(n), ())", "(level_engine.gather_plan(n),)",
      "the laws also gather by clause 4 alone, with no plan, as bu does above 10 elements"),
+    # the one sweep of inputs, in replay: each law's first length and the last, held by the case
+    # counts; combine-level's 2 -> 1 is equivalent and not listed, since a one-element input has no
+    # level to raise and yields no case, and no law or sweep guards against short inputs
+    ("laws.py", "(law, 2, _letters)", "(law, 1, _letters)",
+     "the structural laws are fed alphabet prefixes from two letters, not one"),
+    ("laws.py", 'laws["calls"] = calls, 1, _letters', 'laws["calls"] = calls, 2, _letters',
+     "the calls law is fed alphabet prefixes from one letter"),
+    ("laws.py", "functools.partial(td_bu, problem), 1, example", "functools.partial(td_bu, problem), 2, example",
+     "the td-bu laws are fed example inputs from one element"),
+    ("laws.py", "functools.partial(combine_level, problem), 2, example",
+     "functools.partial(combine_level, problem), 3, example",
+     "the combine-level laws are fed example inputs from two elements"),
+    ("laws.py", "range(first, max_len + 1)", "range(first, max_len)",
+     "replay feeds each law up to max_len, that length included"),
     # the one level step, raise_level, taken by bu and the laws alike
     ("level_engine.py", "        raised += combine_level(columns)\n", "        combine_level(columns)\n",
      "raise_level joins every block's answers, not only the first block's"),

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import gather, tree_of_shape
 from sublists import (
     MODSUM,
+    MODULUS,
     TRACE,
     MalformedLevel,
     Node,
@@ -98,13 +99,18 @@ def test_a_counterexample_names_its_law_and_renders_both_sides(monkeypatch):
     }
 
 
+def _combine_level_cases(problem):
+    """The combine-level law's cases on ints 1..n, n = 1..6, in order."""
+    return (case for n in range(1, 7) for case in laws.combine_level(problem, list(range(1, n + 1))))
+
+
 def test_the_combine_level_law_replays_the_blocks_split_by_clause_4():
     # only the blocks split by clause 4 hold list columns, so a combine_level that reverses them
     # is right on every block gathered by a plan; the law must still catch it, from [1, 2, 3] on
     def reversing(columns):
         return instances._modsum_combine_level([c[::-1] if isinstance(c, list) else c for c in columns])
 
-    cases = laws.combine_level(replace(MODSUM, combine_level=reversing), 6)
+    cases = _combine_level_cases(replace(MODSUM, combine_level=reversing))
     assert next(info for info, lhs, rhs in cases if lhs != rhs) == {"input": [1, 2, 3], "k": 1}
 
 
@@ -113,8 +119,35 @@ def test_the_combine_level_law_holds_combine_level_to_returning_a_list():
     # right answers in a tuple or an iterator break it; the law runs bu's own step and must catch both
     for wrap in [tuple, iter]:
         problem = replace(MODSUM, combine_level=lambda columns, wrap=wrap: wrap(MODSUM.combine_level(columns)))
-        cases = laws.combine_level(problem, 6)
+        cases = _combine_level_cases(problem)
         assert next(info for info, lhs, rhs in cases if lhs != rhs) == {"input": [1, 2], "k": 1}, wrap
+
+
+def _letters(min_size, max_size):
+    """Strings over a two- or three-letter alphabet, so that letters repeat."""
+    return st.sampled_from(["ab", "abc"]).flatmap(lambda a: st.text(alphabet=a, min_size=min_size, max_size=max_size))
+
+
+# near zero, so that values repeat, and around the modulus, past it and below zero
+_ints = st.integers(-3, 3) | st.integers(MODULUS - 3, 2 * MODULUS) | st.integers(-2 * MODULUS, -4)
+_LAWS = laws.registry()
+# each law's drawn inputs; combine-level's pass 10 elements, where bu splits each level by clause 4
+_DRAWN = {name: _letters(2, 8) for name in _LAWS if "[" not in name} | {
+    "combine-level[modsum]": st.lists(_ints, min_size=11, max_size=14),
+    "td-bu[maxmin]": st.lists(_ints, min_size=1, max_size=7),
+    "td-bu[modsum]": st.lists(_ints, min_size=1, max_size=7),
+    "td-bu[trace]": _letters(1, 7),
+}
+
+
+@given(d=st.data(), name=st.sampled_from(sorted(_DRAWN)))
+@settings(max_examples=100, deadline=None)
+def test_the_laws_hold_on_drawn_inputs(d, name):
+    # the laws are stated for any input; verify feeds them only distinct ascending ones, up to 10
+    assert _DRAWN.keys() == _LAWS.keys()
+    law, _, _ = _LAWS[name]
+    for info, lhs, rhs in law(d.draw(_DRAWN[name], label="xs")):
+        assert lhs == rhs, (name, info)
 
 
 def test_up_names_clause_2_on_a_left_subtree_that_cannot_collapse():
