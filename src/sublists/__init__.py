@@ -10,7 +10,7 @@ one is built from, and executable laws showing they agree.
 
 from __future__ import annotations
 
-from .combinatorics import ch, check_shape, choose, spine_sizes, subs
+from .combinatorics import ch, check_shape, choose, subs
 from .core_tree import (
     BinomialTree,
     Node,
@@ -83,7 +83,6 @@ __all__ = [
     "parse_input",
     "run_with_stats",
     "solve",
-    "spine_sizes",
     "subs",
     "td",
     "tips",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Sequence, TypeVar
 
-from .core_tree import BinomialTree, Node, Tip, map_tree, tips
+from .core_tree import BinomialTree, Node, Tip, map_tree
 from .errors import OutOfRange
 
 S = TypeVar("S", bound=Sequence)
@@ -79,11 +79,3 @@ def check_shape(t: BinomialTree, idx: tuple[int, int]) -> bool:
         return False
     return check_shape(t.left, (k - 1, n - 1)) and check_shape(t.right, (k, n - 1))
 
-
-def spine_sizes(t: BinomialTree) -> list[int]:
-    """Tip counts along the right spine: t, t.right, ... down to a tip."""
-    sizes = [len(tips(t))]
-    while isinstance(t, Node):
-        t = t.right
-        sizes.append(len(tips(t)))
-    return sizes

@@ -2,16 +2,17 @@
 
 Each law takes one input ``xs`` (a problem law its problem first) and yields ``(info, lhs, rhs)``
 cases: ``info`` names the input (and the level ``k``) a case was built from, and the law holds on that
-case when ``lhs == rhs``. ``replay`` alone chooses the inputs, one of each length up to a maximum:
-alphabet prefixes from two letters for the structural laws and from one for ``calls``, and the
-problem's ``example_input`` (ints 1..n for ``modsum`` and ``maxmin``) for ``td-bu`` and
-``combine-level``. It counts the cases and raises ``Counterexample`` at the first case whose sides
-differ. ``sublists verify`` prints what ``replay_all`` returns, and the acceptance tests replay the
-same registry. ``run_with_stats`` reports both evaluators' counts from their closed forms,
+case when ``lhs == rhs``. ``replay`` alone chooses the inputs, one of each length up to a maximum, all
+``instances.example_input``: ``trace``'s, alphabet prefixes, from two letters for the structural laws
+and from one for ``calls``, and the problem's own (ints 1..n for ``modsum`` and ``maxmin``) for
+``td-bu`` and ``combine-level``. It counts the cases and raises ``Counterexample`` at the first case
+whose sides differ. ``sublists verify`` prints what ``replay_all`` returns, and the acceptance tests
+replay the same registry. ``run_with_stats`` reports both evaluators' counts from their closed forms,
 ``predicted_cost``, and the ``calls`` law checks them against the calls of the run it makes.
 
-Laws reach ``level_engine.up``, ``gather_plan`` and ``raise_level``, ``solver.td``, ``solver.bu``,
-``solver.levels`` (``bu``'s walk, which the ``combine-level`` law walks too) and
+Laws reach ``level_engine.up``, ``gather_plan`` and ``raise_level``, ``solver.solve`` (the ``td-bu``
+laws ask it for each evaluator by name, and its ``run_with_stats`` looks ``td`` and ``bu`` up at the
+call), ``solver.levels`` (``bu``'s walk, which the ``combine-level`` law walks too) and
 ``solver.run_with_stats`` through their modules rather than binding them at import time, so a
 replacement patched into one of them is exactly what gets checked. Plans are stored up to 10 elements,
 ``verify``'s longest input, so there every level the laws raise by the plans is one block, its columns
@@ -26,7 +27,6 @@ import itertools
 import json
 import math
 from dataclasses import replace
-from string import ascii_lowercase
 from typing import Any, Callable, Iterator, Sequence
 
 from . import combinatorics as comb
@@ -81,16 +81,20 @@ def singleton_collapse(xs: Sequence) -> Iterator[Case]:
     yield {"input": xs}, tree.un_tip(level_engine.up(comb.ch(len(xs) - 1, xs))), comb.subs(xs)
 
 
+def _spine(t: tree.BinomialTree, side: str) -> list[int]:
+    """Tip counts down one spine of ``t``, its ``side`` ("left" or "right") at each node, to a tip."""
+    below = _spine(getattr(t, side), side) if isinstance(t, tree.Node) else []
+    return [len(tree.tips(t)), *below]
+
+
 def pascal_spine(xs: Sequence) -> Iterator[Case]:
     """Spine tip counts are Pascal diagonals: left C(n-j, k-j), right C(n-j, k), j steps down."""
     n = len(xs)
     for k in range(1, n + 1):
-        spine = [comb.ch(k, xs)]
-        while isinstance(spine[-1], tree.Node):
-            spine.append(spine[-1].left)
-        lhs = [len(tree.tips(t)) for t in spine], comb.spine_sizes(spine[0])
+        t = comb.ch(k, xs)
         left = [math.comb(n - j, k - j) for j in range(k + 1 if k < n else 1)]
-        yield {"input": xs, "k": k}, lhs, (left, [math.comb(n - j, k) for j in range(n - k + 1)])
+        right = [math.comb(n - j, k) for j in range(n - k + 1)]
+        yield {"input": xs, "k": k}, (_spine(t, "left"), _spine(t, "right")), (left, right)
 
 
 def shape_advance(xs: Sequence) -> Iterator[Case]:
@@ -109,7 +113,7 @@ def shape_advance(xs: Sequence) -> Iterator[Case]:
 
 def td_bu(problem: solver.SublistProblem, xs: Sequence) -> Iterator[Case]:
     """The two evaluators agree on the input."""
-    yield {"input": xs}, solver.td(len(xs) - 1, problem, xs), solver.bu(len(xs) - 1, problem, xs)
+    yield {"input": xs}, solver.solve(problem, xs, "td"), solver.solve(problem, xs, "bu")
 
 
 def calls(xs: Sequence) -> Iterator[Case]:
@@ -130,10 +134,6 @@ def combine_level(problem: solver.SublistProblem, xs: Sequence) -> Iterator[Case
         yield {"input": xs, "k": k}, _raised(level, k, n, problem.combine_level), rows
 
 
-def _letters(length: int) -> str:
-    return ascii_lowercase[:length]
-
-
 def registry() -> dict[str, tuple[Law, int, Callable[[int], Sequence]]]:
     """Every law by name, in the sorted order ``verify`` reports them, with the inputs ``replay`` feeds
     it: its first length, and the input it is given at each length."""
@@ -141,8 +141,9 @@ def registry() -> dict[str, tuple[Law, int, Callable[[int], Sequence]]]:
         "pascal-spine": pascal_spine, "shape-advance": shape_advance, "singleton-collapse": singleton_collapse,
         "up-flat": gathered_tips, "upgrade-level": upgrade_level, "upgrade-tips": upgrade_tips,
     }
-    laws = {name: (law, 2, _letters) for name, law in structural.items()}
-    laws["calls"] = calls, 1, _letters
+    letters = functools.partial(instances.example_input, instances.TRACE)
+    laws = {name: (law, 2, letters) for name, law in structural.items()}
+    laws["calls"] = calls, 1, letters
     for problem in instances.builtin_problems():
         example = functools.partial(instances.example_input, problem)
         laws[f"td-bu[{problem.name}]"] = functools.partial(td_bu, problem), 1, example

@@ -166,9 +166,9 @@ MUTANTS = [
     # the one sweep of inputs, in replay: each law's first length and the last, held by the case
     # counts; combine-level's 2 -> 1 is equivalent and not listed, since a one-element input has no
     # level to raise and yields no case, and no law or sweep guards against short inputs
-    ("laws.py", "(law, 2, _letters)", "(law, 1, _letters)",
+    ("laws.py", "(law, 2, letters)", "(law, 1, letters)",
      "the structural laws are fed alphabet prefixes from two letters, not one"),
-    ("laws.py", 'laws["calls"] = calls, 1, _letters', 'laws["calls"] = calls, 2, _letters',
+    ("laws.py", 'laws["calls"] = calls, 1, letters', 'laws["calls"] = calls, 2, letters',
      "the calls law is fed alphabet prefixes from one letter"),
     ("laws.py", "functools.partial(td_bu, problem), 1, example", "functools.partial(td_bu, problem), 2, example",
      "the td-bu laws are fed example inputs from one element"),
@@ -177,6 +177,16 @@ MUTANTS = [
      "the combine-level laws are fed example inputs from two elements"),
     ("laws.py", "range(first, max_len + 1)", "range(first, max_len)",
      "replay feeds each law up to max_len, that length included"),
+    # the one walk down a spine, recursive, so that no mutant of it can loop; held by the case counts
+    # and by the law's worked example in test_combinatorics.py
+    ("laws.py", '(_spine(t, "left"), _spine(t, "right"))', '(_spine(t, "right"), _spine(t, "left"))',
+     "the pascal-spine law walks the left spine for its left sizes and the right for its right"),
+    ("laws.py", "    below = _spine(getattr(t, side), side) if isinstance(t, tree.Node) else []\n",
+     "    below = []\n",
+     "a spine goes on down to a tip, not only its first tree"),
+    # the evaluators, each asked of solve by name
+    ("laws.py", 'solver.solve(problem, xs, "td"), solver.solve', 'solver.solve(problem, xs, "bu"), solver.solve',
+     "the td-bu laws compare td with bu, not bu with itself"),
     # the one level step, raise_level, taken by bu and the laws alike
     ("level_engine.py", "        raised += combine_level(columns)\n", "        combine_level(columns)\n",
      "raise_level joins every block's answers, not only the first block's"),
@@ -189,6 +199,8 @@ MUTANTS = [
      "levels raises the seed level m - 1 times, down to one answer"),
     ("solver.py", "        level = raised\n        yield level\n", "        level = raised\n",
      "levels yields every raised level"),
+    ("solver.py", "        level = raised\n", "        spent, level = level, raised\n",
+     "levels keeps no spent level alive past the next raise, held by the warm solve's traced peak"),
     ("solver.py", "map(problem.combine, map(list, zip(*columns)))", "map(problem.combine, zip(*columns))",
      "the row path hands combine each row as a fresh list"),
     ("solver.py", "    for level in levels(problem, xs):\n        pass\n", "    for level in levels(problem, xs):\n        break\n",

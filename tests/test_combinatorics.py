@@ -16,10 +16,10 @@ from sublists import (
     ch,
     check_shape,
     choose,
-    spine_sizes,
     subs,
     tips,
 )
+from sublists import laws
 
 SUBS_ABCDE = ["abcd", "abce", "abde", "acde", "bcde"]
 CHOOSE_3_ABCDE = ["abc", "abd", "abe", "acd", "ace", "ade", "bcd", "bce", "bde", "cde"]
@@ -155,9 +155,14 @@ def test_valid_shapes_respect_the_bound():
 
 
 def test_spine_sizes_worked_example():
-    assert spine_sizes(ch(2, "abcde")) == [10, 6, 3, 1]
+    # the pascal-spine law's sides at each k on "abcde": (left spine sizes, right spine sizes)
+    cases = {info["k"]: (lhs, rhs) for info, lhs, rhs in laws.pascal_spine("abcde")}
+    assert list(cases) == [1, 2, 3, 4, 5]
+    assert all(lhs == rhs for lhs, rhs in cases.values())
+    # C(5,2), C(4,2), C(3,2), C(2,2) on the right; C(5,2), C(4,1), C(3,0) on the left
+    assert cases[2][0] == ([10, 4, 1], [10, 6, 3, 1])
     # C(5,3), C(4,3), C(3,3)
-    assert spine_sizes(ch(3, "abcde")) == [10, 4, 1]
-    assert spine_sizes(Tip("x")) == [1]
-    assert spine_sizes(ch(0, "abc")) == [1]
+    assert cases[3][0] == ([10, 6, 3, 1], [10, 4, 1])
+    # k = n: the tree is one tip, so each spine is that tip alone
+    assert cases[5][0] == ([1], [1])
 

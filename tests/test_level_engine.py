@@ -123,6 +123,15 @@ def test_the_combine_level_law_holds_combine_level_to_returning_a_list():
         assert next(info for info, lhs, rhs in cases if lhs != rhs) == {"input": [1, 2], "k": 1}, wrap
 
 
+def test_a_combine_replaced_without_its_combine_level_fails_both_problem_laws():
+    # replace keeps the old combine_level, so bu answers by modsum's while td answers by the new
+    # combine, and neither raises; on [1, 2, 3, 4] the laws must see it
+    problem = replace(MODSUM, combine=lambda ys: (2 * sum(ys)) % MODULUS)
+    xs = [1, 2, 3, 4]
+    assert next(info for info, lhs, rhs in laws.combine_level(problem, xs) if lhs != rhs) == {"input": xs, "k": 1}
+    assert [(info, lhs, rhs) for info, lhs, rhs in laws.td_bu(problem, xs)] == [({"input": xs}, 480, 638)]
+
+
 def _letters(min_size, max_size):
     """Strings over a two- or three-letter alphabet, so that letters repeat."""
     return st.sampled_from(["ab", "abc"]).flatmap(lambda a: st.text(alphabet=a, min_size=min_size, max_size=max_size))

@@ -29,7 +29,8 @@ from sublists import (
     solve,
     td,
 )
-from sublists import level_engine, solver
+from sublists import solver
+from sublists.instances import trace_answer_length
 
 
 def td_prime(n, combine, ys):
@@ -311,21 +312,41 @@ def test_modsum_column_path_matches_row_path_and_memo_beyond_verify(length):
             assert run[0] == memo_solve(problem, xs), problem.name
 
 
+def _warm_peak(problem, xs) -> int:
+    """The traced peak of ``solve(problem, xs)`` on its second run, its getters built by the first."""
+    solve(problem, xs)
+    tracemalloc.start()
+    try:
+        solve(problem, xs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_modsum_level_combine_builds_no_column_lists():
     # a combine_level that builds a list per column peaks about 1.5x over the row path here
     rng = random.Random(16)
     xs = [rng.randint(-(10**6), 10**6) for _ in range(16)]
-    level_engine.gather_plan(16)  # warm: neither peak should count building the plans
+    assert _warm_peak(MODSUM, xs) <= 1.02 * _warm_peak(replace(MODSUM, combine_level=None), xs)
 
-    def peak(problem):
-        tracemalloc.start()
-        try:
-            bu(15, problem, xs)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    assert peak(MODSUM) <= 1.02 * peak(replace(MODSUM, combine_level=None))
+def test_a_warm_solve_peaks_at_its_two_widest_levels():
+    # bu keeps at most two levels alive, so its floor is the widest level and the one raised from or
+    # to it; a spent level kept one step longer reads about 1.5x on the ints and 1.25x on trace
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fresh = tuple(range(-11_000, -1000))  # ints the interpreter does not cache
+        per_answer = (tracemalloc.get_traced_memory()[0] - before) / len(fresh)  # an int and its slot
+    finally:
+        tracemalloc.stop()
+    rng = random.Random(16)
+    xs = [rng.randint(-(10**6), 10**6) for _ in range(16)]
+    floor = (comb(16, 8) + comb(16, 9)) * per_answer
+    for problem in (MODSUM, MAXMIN):
+        assert _warm_peak(problem, xs) <= 1.15 * floor, problem.name
+    # level 9's ten answers and the answer joined from them, one byte a character
+    assert _warm_peak(TRACE, prefix(10)) <= 1.1 * 2 * trace_answer_length(10)
 
 
 def test_an_empty_input_is_refused_by_every_evaluator():
