@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--algo", choices=["td", "bu", "both"], default="both")
     run.add_argument("--format", choices=["text", "json"], default="text")
 
-    verify = sub.add_parser("verify", help="replay the library's laws over alphabet prefixes")
+    verify = sub.add_parser("verify", help="replay the library's laws on one input of each length")
     verify.add_argument("--max-len", dest="max_len", type=int, default=9)
     verify.add_argument("--format", choices=["text", "json"], default="text")
 
@@ -118,10 +118,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         for algo, value, stats in outcomes:
             print(f"{algo.value} result: {value}")
-            print(
-                f"{algo.value} stats: f_calls={stats.f_calls} "
-                f"g_calls={stats.g_calls} peak_level_tips={stats.peak_level_tips}"
-            )
+            print(f"{algo.value} stats:", *(f"{name}={count}" for name, count in vars(stats).items()))
         if verdict is not None:
             print(f"verdict: {verdict}")
     return 1 if verdict == "DIFFER" else 0

@@ -114,7 +114,7 @@ def _columns(m: int) -> tuple[tuple[Callable, ...], ...]:
     pool = list(range(-comb(m, m // 2), 0))  # one int object for every getter's position
     plans = []
     for k in range(1, m):
-        blocks = [columns for _, columns in _blocks(pool[len(pool) - comb(m, k) :], 0, k, m, ())]
+        blocks = _blocks(pool, k, m, ())
         plans.append(tuple(_column(list(chain.from_iterable(column))) for column in zip(*blocks)))
     return tuple(plans)
 
@@ -130,42 +130,42 @@ def _column(positions: list[int]) -> Callable:
 def raise_level(level: list[A], k: int, m: int, plans: Sequence[Sequence[Callable]], combine_level: Callable) -> list:
     """Level k of an m-element input raised a step: ``combine_level``'s lists for its blocks, joined in order.
 
-    ``plans`` is ``gather_plan(m)``, or ``()`` for no plan. A block is consecutive rows as k + 1
-    columns (column i takes every row's i-th answer). When the plans are for m elements the level is
-    one block, its columns plan k's getters applied to it. A longer level splits by ``up``'s clause 4
-    on its first element: its first C(m-1, k-1) answers X keep that element and the rest T drop it.
-    The rows that keep it take their first k columns from X raised as level k-1 of m-1 (for k = 1,
-    X's one answer repeated) and their column k from T in order; the rows that drop it are T raised
-    as level k of m-1. So above 10 elements the level splits down to 10, and with ``()`` it splits
-    all the way down, by clause 4 alone.
+    Level k is the last C(m, k) answers of ``level``. ``plans`` is ``gather_plan(m)``, or ``()`` for
+    no plan. A block is consecutive rows as k + 1 columns (column i takes every row's i-th answer).
+    When the plans are for m elements the level is one block, its columns plan k's getters applied to
+    it. A longer level splits by ``up``'s clause 4 on its first element: its last C(m-1, k) answers T
+    drop that element and the C(m-1, k-1) answers X before them keep it. The rows that keep it take
+    their first k columns from X raised as level k-1 of m-1 (for k = 1, X's one answer repeated) and
+    their column k from T in order; the rows that drop it are T raised as level k of m-1. So above 10
+    elements the level splits down to 10, and with ``()`` it splits all the way down, by clause 4 alone.
     """
-    blocks = _blocks(level, 0, k, m, plans)
-    raised = combine_level(next(blocks)[1])
-    for _, columns in blocks:
+    blocks = _blocks(level, k, m, plans)
+    raised = combine_level(next(blocks))
+    for columns in blocks:
         raised += combine_level(columns)
     return raised
 
 
-def _blocks(level: list[A], start: int, k: int, m: int, plans: Sequence[Sequence[Callable]]) -> Iterator[tuple]:
-    """``raise_level``'s blocks of the level ``level[start:]``, each with its row count.
+def _blocks(level: list[A], k: int, m: int, plans: Sequence[Sequence[Callable]]) -> Iterator[list]:
+    """``raise_level``'s blocks of level k of m, the last C(m, k) answers of ``level``, as column lists.
 
-    Plans count positions from the end and T is a tail, so T is raised in place; only X, and the
-    part of T that is a block's column k, are sliced.
+    Positions count from the end, as in the plans, so T is ``level`` itself and only X and each block's
+    column k are sliced; a block's row count is its last column's length (column 0 may be ``repeat``).
     """
     if m == len(plans) + 1:
-        yield comb(m, k + 1), [column(level) for column in plans[k - 1]]
+        yield [column(level) for column in plans[k - 1]]
         return
-    cut = comb(m - 1, k - 1)  # X = level[start:start + cut], T = level[start + cut:]
+    t = len(level) - comb(m - 1, k)  # T = level[t:], X = the C(m-1, k-1) answers before it
     if k == 1:
-        yield m - 1, [repeat(level[start], m - 1), level[start + cut :]]
+        yield [repeat(level[t - 1], m - 1), level[t:]]
     else:
-        t = start + cut
-        for rows, columns in _blocks(level[start:t], 0, k - 1, m - 1, plans):
+        for columns in _blocks(level[t - comb(m - 1, k - 1) : t], k - 1, m - 1, plans):
+            rows = len(columns[-1])
             columns.append(level[t : t + rows])
-            yield rows, columns
+            yield columns
             t += rows
     if k < m - 1:  # the last level's one row keeps the first element
-        yield from _blocks(level, start + cut, k, m - 1, plans)
+        yield from _blocks(level, k, m - 1, plans)
 
 
 def upgrade_oracle(k: int, xs: S) -> list[list[S]]:

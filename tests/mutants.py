@@ -119,23 +119,33 @@ MUTANTS = [
      "trace's base is str"),
     # the split of a level above the stored length by up's clause 4, held by the up-flat law's
     # blocks split by clause 4 alone, with no plan, and by bu above 10 elements
-    ("level_engine.py", "    cut = comb(m - 1, k - 1)  #", "    cut = comb(m - 1, k - 1) + 1  #",
+    ("level_engine.py", "    t = len(level) - comb(m - 1, k)  #", "    t = len(level) - comb(m - 1, k) + 1  #",
      "the split cuts a level after the C(m-1, k-1) answers that keep the first element"),
-    ("level_engine.py", "columns.append(level[t : t + rows])", "columns.append(level[start : start + rows])",
+    ("level_engine.py", "columns.append(level[t : t + rows])", "columns.append(level[t - rows : t])",
      "the rows that keep the first element take their last column from T, not X"),
     ("level_engine.py",
-     "    if k == 1:\n        yield m - 1, [repeat(level[start], m - 1), level[start + cut :]]\n"
-     "    else:\n        t = start + cut\n        for rows, columns in _blocks(level[start:t], 0, k - 1, m - 1, plans):\n"
-     "            columns.append(level[t : t + rows])\n            yield rows, columns\n            t += rows\n"
+     "    if k == 1:\n        yield [repeat(level[t - 1], m - 1), level[t:]]\n"
+     "    else:\n        for columns in _blocks(level[t - comb(m - 1, k - 1) : t], k - 1, m - 1, plans):\n"
+     "            rows = len(columns[-1])\n            columns.append(level[t : t + rows])\n"
+     "            yield columns\n            t += rows\n"
      "    if k < m - 1:  # the last level's one row keeps the first element\n"
-     "        yield from _blocks(level, start + cut, k, m - 1, plans)\n",
-     "    if k < m - 1:\n        yield from _blocks(level, start + cut, k, m - 1, plans)\n"
-     "    if k == 1:\n        yield m - 1, [repeat(level[start], m - 1), level[start + cut :]]\n"
-     "    else:\n        t = start + cut\n        for rows, columns in _blocks(level[start:t], 0, k - 1, m - 1, plans):\n"
-     "            columns.append(level[t : t + rows])\n            yield rows, columns\n            t += rows\n",
+     "        yield from _blocks(level, k, m - 1, plans)\n",
+     "    if k < m - 1:\n        yield from _blocks(level, k, m - 1, plans)\n"
+     "    if k == 1:\n        yield [repeat(level[t - 1], m - 1), level[t:]]\n"
+     "    else:\n        for columns in _blocks(level[t - comb(m - 1, k - 1) : t], k - 1, m - 1, plans):\n"
+     "            rows = len(columns[-1])\n            columns.append(level[t : t + rows])\n"
+     "            yield columns\n            t += rows\n",
      "the rows that keep the first element come before the rows that drop it"),
-    ("level_engine.py", "repeat(level[start], m - 1)", "repeat(level[start], m - 2)",
+    ("level_engine.py", "repeat(level[t - 1], m - 1)", "repeat(level[t - 1], m - 2)",
      "at k = 1 the first element's answer is repeated once per later element"),
+    ("level_engine.py", "t = len(level) - comb(m - 1, k)", "t = len(level) - comb(m - 1, k - 1)",
+     "T, the answers that drop the first element, is the level's last C(m-1, k)"),
+    ("level_engine.py", "repeat(level[t - 1], m - 1)", "repeat(level[t], m - 1)",
+     "at k = 1 the repeated answer is X's one answer, just before T"),
+    ("level_engine.py", "rows = len(columns[-1])", "rows = len(columns[-1]) - 1",
+     "a block's row count is the length of its last column"),
+    ("level_engine.py", "level[t - comb(m - 1, k - 1) : t]", "level[t - comb(m - 1, k - 1) : t + 1]",
+     "X is the C(m-1, k-1) answers just before T, and ends where T starts"),
     # the one way into the stored plans, gather_plan's clamp and cache, the column getters and
     # raise_level's use of them, held by the plan tests and the up-flat and combine-level laws; one
     # mutant here is equivalent and not listed: == -> <= in _blocks' base changes nothing, since
@@ -155,8 +165,8 @@ MUTANTS = [
      "a one-row column at the level's last position slices to the level's end"),
     ("level_engine.py", "range(-comb(m, m // 2), 0)", "range(-comb(m, m // 2 - 1), 0)",
      "the position pool reaches the widest level, C(m, m // 2) answers"),
-    ("level_engine.py", "pool[len(pool) - comb(m, k) :]", "pool[len(pool) - comb(m, k) - 1 :]",
-     "the getters are built from level k of positions, its C(m, k) last"),
+    ("level_engine.py", "_blocks(pool, k, m, ())", "_blocks(pool[:-1], k, m, ())",
+     "the getters are built from the pool's last C(m, k) positions, level k of positions"),
     ("level_engine.py", "    for k in range(1, m):\n", "    for k in range(1, m - 1):\n",
      "every level, the last included, gets its plan"),
     ("level_engine.py", "_column(list(chain.from_iterable(column)))", "_column(list(column[0]))",

@@ -86,6 +86,43 @@ def test_a_request_at_each_cap_is_accepted(argv, module, name, monkeypatch):
         main(argv)
 
 
+def _first_cap(problem: str, algo: str, n: int) -> str | None:
+    """The first cap a run request of n elements breaks, in the order the rules name them, or None."""
+    if n > 20:
+        return "the limit of 20"
+    if algo != "bu" and n > 10:
+        return "the td limit of 10"
+    if problem == "trace" and n > 11:
+        return "the trace limit of 11"
+    return None
+
+
+@pytest.mark.parametrize("problem", [problem.name for problem in instances.builtin_problems()])
+@pytest.mark.parametrize("algo", ["td", "bu", "both"])
+def test_each_run_request_reaches_the_solver_or_names_its_first_cap(problem, algo, capsys, monkeypatch):
+    # every length from 1 to 21: an accepted request reaches the solver once, a refused one makes no call
+    calls = []
+
+    def solve_once(*args):
+        calls.append(args)
+        raise Reached
+
+    monkeypatch.setattr(solver, "run_with_stats", solve_once)
+    for n in range(1, 22):
+        text = prefix(n) if problem == "trace" else ",".join(map(str, range(1, n + 1)))
+        argv = ["run", "--problem", problem, "--input", text, "--algo", algo]
+        calls.clear()
+        cap = _first_cap(problem, algo, n)
+        if cap is None:
+            with pytest.raises(Reached):
+                main(argv)
+            assert len(calls) == 1, n
+        else:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out, calls) == (2, "", []), n
+            assert err.startswith(f"error: input length {n} exceeds {cap}"), (n, err)
+
+
 def test_verify_replays_to_9_elements_by_default(monkeypatch):
     monkeypatch.setattr(laws, "replay_all", reached)
     with pytest.raises(Reached) as info:

@@ -235,6 +235,19 @@ def test_every_stored_plan_is_up_on_distinct_tips():
             assert gather(values, level_engine.gather_plan(m)[k - 1]) == tips(up(t)), (k, m)
 
 
+@pytest.mark.parametrize("m", [5, 10, 12])
+def test_a_level_is_read_from_the_end_of_its_list(m):
+    # the plans and the clause-4 split both count positions from the level's end, so answers before
+    # the level change nothing; _columns relies on this when it hands _blocks the whole position pool.
+    # laws._raised raises a level twice, by the length's plans and with no plan
+    def rows(columns):
+        return list(map(list, zip(*columns)))
+
+    for k in range(1, m):
+        level = list(range(comb(m, k)))
+        assert laws._raised(["pad"] * 3 + level, k, m, rows) == laws._raised(level, k, m, rows), k
+
+
 def _resident(*plans) -> int:
     """Bytes the allocator holds for the getters in ``plans`` and all they refer to, each object once.
 
