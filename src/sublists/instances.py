@@ -118,6 +118,8 @@ def parse_input(problem: SublistProblem, text: str):
 
 def example_input(problem: SublistProblem, length: int):
     """A distinct-symbol input of the given length, for sweeps."""
+    if length < 0:
+        raise ValueError(f"cannot build an example input of length {length}")
     if problem.input_kind == "ints":
         return list(range(1, length + 1))
     if length > len(ascii_lowercase):

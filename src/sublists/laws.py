@@ -27,7 +27,7 @@ import itertools
 import json
 import math
 from dataclasses import replace
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import combinatorics as comb
 from . import core_tree as tree
@@ -60,7 +60,7 @@ def upgrade_tips(xs: Sequence) -> Iterator[Case]:
         yield {"input": xs, "k": k}, lhs, level_engine.upgrade_oracle(k, xs)
 
 
-def _raised(level: list, k: int, n: int, combine_level: Callable[[list], list]) -> list[list]:
+def _raised(level: list, k: int, n: int, combine_level: Callable[[list], Iterable]) -> list[list]:
     """Level k of an n-element input raised by ``raise_level`` with ``combine_level``, twice: by the
     length's stored plans, and by clause 4 alone, with no plan."""
     return [level_engine.raise_level(level, k, n, plans, combine_level)
@@ -72,7 +72,7 @@ def gathered_tips(xs: Sequence) -> Iterator[Case]:
     raised tree's tips."""
     for k in range(1, len(xs)):
         t = comb.ch(k, xs)
-        lhs = _raised(tree.tips(t), k, len(xs), lambda columns: list(map(list, zip(*columns))))
+        lhs = _raised(tree.tips(t), k, len(xs), lambda columns: map(list, zip(*columns)))
         yield {"input": xs, "k": k}, lhs, 2 * [tree.tips(level_engine.up(t))]
 
 

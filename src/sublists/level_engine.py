@@ -128,7 +128,7 @@ def _column(positions: list[int]) -> Callable:
 
 
 def raise_level(level: list[A], k: int, m: int, plans: Sequence[Sequence[Callable]], combine_level: Callable) -> list:
-    """Level k of an m-element input raised a step: ``combine_level``'s lists for its blocks, joined in order.
+    """Level k of an m-element input raised a step: ``combine_level``'s answers for its blocks, in a new list.
 
     Level k is the last C(m, k) answers of ``level``. ``plans`` is ``gather_plan(m)``, or ``()`` for
     no plan. A block is consecutive rows as k + 1 columns (column i takes every row's i-th answer).
@@ -139,9 +139,8 @@ def raise_level(level: list[A], k: int, m: int, plans: Sequence[Sequence[Callabl
     their column k from T in order; the rows that drop it are T raised as level k of m-1. So above 10
     elements the level splits down to 10, and with ``()`` it splits all the way down, by clause 4 alone.
     """
-    blocks = _blocks(level, k, m, plans)
-    raised = combine_level(next(blocks))
-    for columns in blocks:
+    raised = []
+    for columns in _blocks(level, k, m, plans):
         raised += combine_level(columns)
     return raised
 

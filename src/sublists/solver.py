@@ -44,13 +44,12 @@ class SublistProblem(Generic[X, Y]):
     ``combine_level``, when given, is ``combine`` for a block of
     consecutive rows of a level at once: it receives the block's argument
     columns (column i holds every row's i-th answer), equal-length
-    iterables each consumed once, and returns the rows' answers in order, as
-    a ``list`` (``bu`` extends one block's list by the next block's).
-    ``bu`` may call it several times per level, once per block; up to 10
-    elements a level is one block. On an m-element input a level can hold
-    C(m, m // 2) rows, so it should consume the columns lazily and build
-    only the list of answers. Each call must equal
-    ``list(map(combine, rows))`` for its block; ``bu`` uses it in place of
+    iterables each consumed once, and returns the rows' answers in order,
+    as any iterable, which ``bu`` only reads. ``bu`` may call it several
+    times per level, once per block; up to 10 elements a level is one
+    block. On an m-element input a level can hold C(m, m // 2) rows, so it
+    should consume the columns lazily. Each call gives ``map(combine, rows)``'s
+    answers for its block; ``bu`` uses it in place of
     ``combine``, while ``td`` uses only ``combine``, which stays the
     definition. ``replace(problem, combine=...)`` keeps the
     old ``combine_level``, so clear or replace it in the same call.
@@ -63,7 +62,7 @@ class SublistProblem(Generic[X, Y]):
     base: Callable[[X], Y]
     combine: Callable[[list[Y]], Y]
     input_kind: str = "chars"
-    combine_level: Callable[[list[Iterable[Y]]], list[Y]] | None = None
+    combine_level: Callable[[list[Iterable[Y]]], Iterable[Y]] | None = None
 
 
 @dataclass
@@ -127,10 +126,10 @@ def levels(problem: SublistProblem[X, Y], xs: Sequence[X]) -> Iterator[list[Y]]:
     in order. Up to 10 elements a level is one block, gathered by the stored plans,
     ``level_engine.gather_plan(len(xs))`` (``up`` compiled to column getters); a longer one splits by
     ``up``'s clause 4 down to 10. Each block goes to ``combine_level`` when the problem has one, and
-    otherwise every row goes to ``combine``, on a fresh list. At most two levels are alive at once, so
-    keep no yielded level past the next yield: it is then reversed, and dropped.
+    otherwise every row goes to ``combine``, on a fresh list. Each level is a new list, and at most two are
+    alive at once, so keep no yielded level past the next yield: it is then reversed, and dropped.
     """
-    combine_level = problem.combine_level or (lambda columns: list(map(problem.combine, map(list, zip(*columns)))))
+    combine_level = problem.combine_level or (lambda columns: map(problem.combine, map(list, zip(*columns))))
     level = [problem.base(x) for x in xs]
     plans = level_engine.gather_plan(len(xs))
     yield level
@@ -158,8 +157,10 @@ def predicted_cost(algo: Algorithm | str, n: int) -> RunStats:
     On m = n + 1 elements td makes m! ``base`` and c(n) = 1 + (n + 1)·c(n − 1), c(0) = 0, ``combine``
     calls and builds no levels; bu makes m ``base`` calls, one ``combine`` per subsequence of two or
     more elements (2^m − m − 1), and its widest level holds C(m, m // 2) answers. ``algo`` is as for
-    ``run_with_stats``.
+    ``run_with_stats``; a negative index, an empty input, raises EmptyInput as ``td`` and ``bu`` do.
     """
+    if n < 0:
+        raise EmptyInput("an empty input has no run to cost")
     m = n + 1
     if Algorithm(algo) is Algorithm.TOP_DOWN:
         g_calls = 0

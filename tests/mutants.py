@@ -33,6 +33,14 @@ _ABC = "combine([combine([base(a), base(b)]), combine([base(a), base(c)]), combi
 _ABD = "combine([combine([base(a), base(b)]), combine([base(a), base(d)]), combine([base(b), base(d)])]),"
 _ACD = "combine([combine([base(a), base(c)]), combine([base(a), base(d)]), combine([base(c), base(d)])]),"
 _BCD = "combine([combine([base(b), base(c)]), combine([base(b), base(d)]), combine([base(c), base(d)])]),"
+_COST_CHECK = '    if n < 0:\n        raise EmptyInput("an empty input has no run to cost")\n'
+_EXAMPLE_CHECK = '    if length < 0:\n        raise ValueError(f"cannot build an example input of length {length}")\n'
+_INTS_EXAMPLE = '    if problem.input_kind == "ints":\n        return list(range(1, length + 1))\n'
+_TD_COST = (
+    "    if Algorithm(algo) is Algorithm.TOP_DOWN:\n        g_calls = 0\n"
+    "        for j in range(2, m + 1):\n            g_calls = 1 + j * g_calls\n"
+    "        return RunStats(f_calls=factorial(m), g_calls=g_calls, peak_level_tips=0)\n"
+)
 
 MUTANTS = [
     # lines that only a dedicated assertion holds
@@ -200,6 +208,9 @@ MUTANTS = [
     # the one level step, raise_level, taken by bu and the laws alike
     ("level_engine.py", "        raised += combine_level(columns)\n", "        combine_level(columns)\n",
      "raise_level joins every block's answers, not only the first block's"),
+    ("level_engine.py", "    raised = []\n    for columns in _blocks(level, k, m, plans):\n",
+     "    blocks = _blocks(level, k, m, plans)\n    raised = combine_level(next(blocks))\n    for columns in blocks:\n",
+     "raise_level builds each level in a list of its own, never in one that combine_level returned"),
     ("laws.py", "solver.levels(replace(problem, combine_level=None), xs)", "itertools.repeat([problem.base(x) for x in xs])",
      "the combine-level law walks the problem's own levels, each raised by the row combine"),
     # levels, the one walk of levels, and bu, the one answer of its last level
@@ -225,8 +236,27 @@ MUTANTS = [
      "modsum's level combine adds the 1 to each row"),
     ("instances.py", "zip(columns[0], *weighted)", "zip(*weighted)",
      "modsum's level combine adds in each row's first answer"),
-    ("solver.py", "    if n < 0:", "    if n < -1:",
+    ("solver.py", "    if n < 0:\n        raise EmptyInput(\"cannot solve", "    if n < -1:\n        raise EmptyInput(\"cannot solve",
      "an empty input is refused before any evaluator runs"),
+    # the library's other two refusals of an impossible length
+    ("solver.py", _COST_CHECK, "",
+     "predicted_cost refuses a negative index, an empty input, with EmptyInput"),
+    ("solver.py", _COST_CHECK, _COST_CHECK.replace("n < 0", "n < -1"),
+     "predicted_cost refuses index -1, not only the indices below it"),
+    ("solver.py", _COST_CHECK, _COST_CHECK.replace("n < 0", "n <= 0"),
+     "predicted_cost answers index 0, one element"),
+    ("solver.py", f"{_COST_CHECK}    m = n + 1\n{_TD_COST}", f"    m = n + 1\n{_TD_COST}{_COST_CHECK}",
+     "predicted_cost refuses a negative index before td's counts, not only before bu's"),
+    ("instances.py", _EXAMPLE_CHECK, "",
+     "example_input refuses a negative length"),
+    ("instances.py", _EXAMPLE_CHECK, _EXAMPLE_CHECK.replace("length < 0", "length < -1"),
+     "example_input refuses length -1, not only the lengths below it"),
+    ("instances.py", _EXAMPLE_CHECK, _EXAMPLE_CHECK.replace("length < 0", "length <= 0"),
+     "example_input builds the empty input at length 0"),
+    ("instances.py", _EXAMPLE_CHECK + _INTS_EXAMPLE, _INTS_EXAMPLE + _EXAMPLE_CHECK,
+     "example_input refuses a negative length for ints too, not only for letters"),
+    ("instances.py", "    if length > len(ascii_lowercase):", "    if length >= len(ascii_lowercase):",
+     "example_input builds all 26 letters"),
     ("solver.py", "expects length {1 + n}", "expects length {1 - n}",
      "a length mismatch names the length the index expects"),
     ("solver.py", "expects length {1 + n}", "expects length {2 + n}",

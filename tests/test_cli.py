@@ -138,16 +138,6 @@ def test_bench_runs_no_evaluator(monkeypatch):
         assert replay(record["argv"]) == record, record["argv"]
 
 
-def test_run_refuses_long_trace_inputs_before_solving(capsys, monkeypatch):
-    def no_solve(n, problem, xs):
-        raise AssertionError("bu ran")
-
-    monkeypatch.setattr(solver, "bu", no_solve)
-    code, _, err = run_cli(capsys, "run", "--problem", "trace", "--input", "a" * 12, "--algo", "bu")
-    assert code == 2
-    assert "exceeds the trace limit of 11" in err and "1,167,117,890 characters" in err
-
-
 def test_trace_answer_length_follows_the_recurrence():
     assert instances.trace_answer_length(11) == 97_259_824
     for m in range(1, 9):
@@ -226,18 +216,6 @@ def test_verify_reports_the_first_counterexample_when_up_is_broken(capsys, monke
     assert code == 1
     assert "counterexample" in out
     assert "input:" in out
-
-
-def test_verify_counterexample_in_json(capsys, monkeypatch):
-    real_up = level_engine.up
-
-    def broken_up(t):
-        raised = real_up(t)
-        if isinstance(raised, Node):
-            return Node(raised.right, raised.left)
-        return raised
-
-    monkeypatch.setattr(level_engine, "up", broken_up)
     code, out, _ = run_cli(capsys, "verify", "--max-len", "4", "--format", "json")
     assert code == 1
     doc = json.loads(out)

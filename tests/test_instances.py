@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from string import ascii_lowercase
 
 import pytest
 from hypothesis import given, strategies as st
@@ -106,5 +107,10 @@ def test_parse_input():
 def test_example_input():
     assert example_input(TRACE, 3) == "abc"
     assert example_input(MODSUM, 4) == [1, 2, 3, 4]
+    assert example_input(TRACE, 26) == ascii_lowercase
     with pytest.raises(ValueError):
         example_input(TRACE, 27)
+    for problem in [TRACE, MODSUM]:
+        assert len(example_input(problem, 0)) == 0
+        with pytest.raises(ValueError):
+            example_input(problem, -1)

@@ -357,6 +357,12 @@ def test_an_empty_input_is_refused_by_every_evaluator():
                 evaluate(-1, problem, xs)
         with pytest.raises(EmptyInput):
             td_prime(-1, problem.combine, [])
+    # and by predicted_cost: index n answers n + 1 elements, so every negative index is an empty input
+    for algo in Algorithm:
+        for n in [-1, -3]:
+            with pytest.raises(EmptyInput):
+                solver.predicted_cost(algo, n)
+        assert solver.predicted_cost(algo, 0).f_calls == 1
 
 
 def test_order_sensitive_problems_notice_reversal():
