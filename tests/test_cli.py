@@ -202,7 +202,7 @@ def test_verify_catches_a_broken_combine_level(capsys, monkeypatch):
     assert out.startswith("law combine-level[modsum]: counterexample")
 
 
-def test_verify_reports_the_first_counterexample_when_up_is_broken(capsys, monkeypatch):
+def break_up(monkeypatch):
     real_up = level_engine.up
 
     def broken_up(t):
@@ -212,10 +212,18 @@ def test_verify_reports_the_first_counterexample_when_up_is_broken(capsys, monke
         return raised
 
     monkeypatch.setattr(level_engine, "up", broken_up)
+
+
+def test_verify_reports_the_first_counterexample_when_up_is_broken(capsys, monkeypatch):
+    break_up(monkeypatch)
     code, out, _ = run_cli(capsys, "verify", "--max-len", "4")
     assert code == 1
     assert "counterexample" in out
     assert "input:" in out
+
+
+def test_verify_counterexample_in_json(capsys, monkeypatch):
+    break_up(monkeypatch)
     code, out, _ = run_cli(capsys, "verify", "--max-len", "4", "--format", "json")
     assert code == 1
     doc = json.loads(out)
