@@ -28,7 +28,7 @@ class OutOfRange(SublistsError):
 
 
 class MalformedLevel(SublistsError):
-    """A tree fed to the level-raising step is not shaped like one."""
+    """A tree fed to the level-raising step, or a level that the step makes, is not shaped like a level."""
 
 
 class LengthMismatch(SublistsError):

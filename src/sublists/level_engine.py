@@ -21,7 +21,7 @@ MalformedLevel naming the clause that failed.
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain, repeat
+from itertools import chain
 from math import comb
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence, TypeVar
@@ -138,10 +138,14 @@ def raise_level(level: list[A], k: int, m: int, plans: Sequence[Sequence[Callabl
     their first k columns from X raised as level k-1 of m-1 (for k = 1, X's one answer repeated) and
     their column k from T in order; the rows that drop it are T raised as level k of m-1. So above 10
     elements the level splits down to 10, and with ``()`` it splits all the way down, by clause 4 alone.
+    A block must get one answer per row; a block that gets more or fewer raises MalformedLevel.
     """
     raised = []
     for columns in _blocks(level, k, m, plans):
+        rows, start = len(columns[0]), len(raised)
         raised += combine_level(columns)
+        if len(raised) - start != rows:
+            raise MalformedLevel(f"level {k + 1}: a block of {rows} rows got {len(raised) - start} answers")
     return raised
 
 
@@ -149,14 +153,14 @@ def _blocks(level: list[A], k: int, m: int, plans: Sequence[Sequence[Callable]])
     """``raise_level``'s blocks of level k of m, the last C(m, k) answers of ``level``, as column lists.
 
     Positions count from the end, as in the plans, so T is ``level`` itself and only X and each block's
-    column k are sliced; a block's row count is its last column's length (column 0 may be ``repeat``).
+    column k are sliced. Each column is a getter's tuple or a list, as long as the block has rows.
     """
     if m == len(plans) + 1:
         yield [column(level) for column in plans[k - 1]]
         return
     t = len(level) - comb(m - 1, k)  # T = level[t:], X = the C(m-1, k-1) answers before it
     if k == 1:
-        yield [repeat(level[t - 1], m - 1), level[t:]]
+        yield [[level[t - 1]] * (m - 1), level[t:]]
     else:
         for columns in _blocks(level[t - comb(m - 1, k - 1) : t], k - 1, m - 1, plans):
             rows = len(columns[-1])

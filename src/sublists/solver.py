@@ -42,17 +42,17 @@ class SublistProblem(Generic[X, Y]):
     ("chars" for character strings, "ints" for comma-separated integers).
 
     ``combine_level``, when given, is ``combine`` for a block of
-    consecutive rows of a level at once: it receives the block's argument
-    columns (column i holds every row's i-th answer), equal-length
-    iterables each consumed once, and returns the rows' answers in order,
-    as any iterable, which ``bu`` only reads. ``bu`` may call it several
-    times per level, once per block; up to 10 elements a level is one
-    block. On an m-element input a level can hold C(m, m // 2) rows, so it
-    should consume the columns lazily. Each call gives ``map(combine, rows)``'s
-    answers for its block; ``bu`` uses it in place of
-    ``combine``, while ``td`` uses only ``combine``, which stays the
-    definition. ``replace(problem, combine=...)`` keeps the
-    old ``combine_level``, so clear or replace it in the same call.
+    consecutive rows raised from level k at once: it receives the block's
+    argument columns (column i holds every row's i-th answer), k + 1
+    equal-length sequences, and returns one answer per row, in order, as
+    any iterable, which ``bu`` only reads; another count raises
+    ``MalformedLevel``. ``bu`` may call it several times per level, once per
+    block; up to 10 elements a level is one block. On an m-element input a
+    level can hold C(m, m // 2) rows, so it should consume the columns
+    lazily. Each call gives ``map(combine, rows)``'s answers for its block;
+    ``bu`` uses it in place of ``combine``, while ``td`` uses only
+    ``combine``, which stays the definition. ``replace(problem, combine=...)``
+    keeps the old ``combine_level``, so clear or replace it in the same call.
     What it buys, measured for ``modsum`` on Python 3.11.7 (in-process,
     best of 31): its row path takes ×1.45–1.47 the column path's time at
     12 ints, ×1.43–1.46 at 15 and ×1.45–1.48 at 16.

@@ -132,23 +132,25 @@ MUTANTS = [
     ("level_engine.py", "columns.append(level[t : t + rows])", "columns.append(level[t - rows : t])",
      "the rows that keep the first element take their last column from T, not X"),
     ("level_engine.py",
-     "    if k == 1:\n        yield [repeat(level[t - 1], m - 1), level[t:]]\n"
+     "    if k == 1:\n        yield [[level[t - 1]] * (m - 1), level[t:]]\n"
      "    else:\n        for columns in _blocks(level[t - comb(m - 1, k - 1) : t], k - 1, m - 1, plans):\n"
      "            rows = len(columns[-1])\n            columns.append(level[t : t + rows])\n"
      "            yield columns\n            t += rows\n"
      "    if k < m - 1:  # the last level's one row keeps the first element\n"
      "        yield from _blocks(level, k, m - 1, plans)\n",
      "    if k < m - 1:\n        yield from _blocks(level, k, m - 1, plans)\n"
-     "    if k == 1:\n        yield [repeat(level[t - 1], m - 1), level[t:]]\n"
+     "    if k == 1:\n        yield [[level[t - 1]] * (m - 1), level[t:]]\n"
      "    else:\n        for columns in _blocks(level[t - comb(m - 1, k - 1) : t], k - 1, m - 1, plans):\n"
      "            rows = len(columns[-1])\n            columns.append(level[t : t + rows])\n"
      "            yield columns\n            t += rows\n",
      "the rows that keep the first element come before the rows that drop it"),
-    ("level_engine.py", "repeat(level[t - 1], m - 1)", "repeat(level[t - 1], m - 2)",
+    ("level_engine.py", "[level[t - 1]] * (m - 1)", "[level[t - 1]] * (m - 2)",
      "at k = 1 the first element's answer is repeated once per later element"),
+    ("level_engine.py", "[level[t - 1]] * (m - 1)", '__import__("itertools").repeat(level[t - 1], m - 1)',
+     "at k = 1 the repeated column is a list, so every column bu hands over is a sequence"),
     ("level_engine.py", "t = len(level) - comb(m - 1, k)", "t = len(level) - comb(m - 1, k - 1)",
      "T, the answers that drop the first element, is the level's last C(m-1, k)"),
-    ("level_engine.py", "repeat(level[t - 1], m - 1)", "repeat(level[t], m - 1)",
+    ("level_engine.py", "[level[t - 1]] * (m - 1)", "[level[t]] * (m - 1)",
      "at k = 1 the repeated answer is X's one answer, just before T"),
     ("level_engine.py", "rows = len(columns[-1])", "rows = len(columns[-1]) - 1",
      "a block's row count is the length of its last column"),
@@ -211,6 +213,10 @@ MUTANTS = [
     ("level_engine.py", "    raised = []\n    for columns in _blocks(level, k, m, plans):\n",
      "    blocks = _blocks(level, k, m, plans)\n    raised = combine_level(next(blocks))\n    for columns in blocks:\n",
      "raise_level builds each level in a list of its own, never in one that combine_level returned"),
+    ("level_engine.py", "        if len(raised) - start != rows:\n            raise MalformedLevel(", "        if False:\n            raise MalformedLevel(",
+     "raise_level refuses a block given more or fewer answers than it has rows"),
+    ("level_engine.py", "rows, start = len(columns[0]), len(raised)", "rows, start = len(columns), len(raised)",
+     "a block's answers are counted against its rows, not its columns"),
     ("laws.py", "solver.levels(replace(problem, combine_level=None), xs)", "itertools.repeat([problem.base(x) for x in xs])",
      "the combine-level law walks the problem's own levels, each raised by the row combine"),
     # levels, the one walk of levels, and bu, the one answer of its last level

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from string import ascii_lowercase
 
 import pytest
@@ -79,14 +78,11 @@ def test_int_combines_meet_their_definitions_at_every_written_out_length(length)
 )
 def test_modsum_level_combine_is_combine_on_each_row(columns, form, first_repeated):
     # bu hands over columns as tuples (getters) and lists (slices), and above 10 elements a
-    # k = 1 block whose first column is one answer repeated, bounded by the others
+    # k = 1 block whose first column is one answer repeated, as a list as long as the others
     if first_repeated:
         columns[0] = columns[0][:1] * len(columns[0])
     expected = list(map(MODSUM.combine, map(list, zip(*columns))))
-    handed = [form(col) for col in columns]
-    if first_repeated:
-        handed[0] = itertools.repeat(columns[0][0], len(columns[0]))
-    assert MODSUM.combine_level(handed) == expected
+    assert MODSUM.combine_level([form(col) for col in columns]) == expected
 
 
 @given(x=st.characters() | st.integers())

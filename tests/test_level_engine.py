@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import operator
 import sys
@@ -126,6 +127,42 @@ def test_combine_level_may_answer_with_any_iterable():
         for n in range(1, 15):
             xs = list(range(1, n + 1))
             assert solve(problem, xs) == solve(MODSUM, xs), (wrap, n)
+
+
+def test_combine_level_may_read_its_columns_as_sequences():
+    # every column bu hands over is a tuple or a list, the repeated k = 1 column above 10
+    # elements too, so a combine_level that indexes its columns and takes their len holds
+    def indexing(columns):
+        return [MODSUM.combine([column[i] for column in columns]) for i in range(len(columns[0]))]
+
+    for n in range(1, 15):
+        xs = list(range(1, n + 1))
+        assert solve(replace(MODSUM, combine_level=indexing), xs) == solve(MODSUM, xs), n
+
+
+@pytest.mark.parametrize("n", [3, 5, 12])
+@pytest.mark.parametrize("answers", [
+    lambda columns: MODSUM.combine_level(columns) + [7],
+    lambda columns: MODSUM.combine_level(columns)[:-1] or [0],
+], ids=["one-extra", "one-short"])
+def test_bu_refuses_a_block_given_the_wrong_number_of_answers(answers, n):
+    # one answer too many or too few in a block is a malformed level, not a bare unpacking or
+    # index error deep in bu, nor a wrong answer (unchecked, one short answers 0 for [1, 2, 3], not 50)
+    with pytest.raises(MalformedLevel, match="rows got"):
+        solve(replace(MODSUM, combine_level=answers), list(range(1, n + 1)))
+
+
+def test_bu_checks_each_block_not_only_each_level():
+    # at 12 ints level 1 is raised in blocks of 11, 10 and 45 rows; an extra answer in the second
+    # and a missing one in the third leave the level's length right, yet the second is refused
+    calls = itertools.count(1)
+
+    def shifting(columns):
+        answers, call = MODSUM.combine_level(columns), next(calls)
+        return answers + [0] if call == 2 else answers[:-1] if call == 3 else answers
+
+    with pytest.raises(MalformedLevel, match="^level 2: a block of 10 rows got 11 answers$"):
+        solve(replace(MODSUM, combine_level=shifting), list(range(1, 13)))
 
 
 @pytest.mark.parametrize("n, calls", [(5, 4), (12, 39)])
