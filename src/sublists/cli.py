@@ -31,7 +31,7 @@ import sys
 
 from . import combinatorics as comb
 from . import core_tree as tree
-from . import instances, laws
+from . import instances
 from . import level_engine as lvl
 from . import solver
 from .errors import SublistsError
@@ -125,6 +125,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import laws  # only verify replays the laws, so run, dump and bench need not load them
+
     if not 1 <= args.max_len <= TD_MAX_INPUT:
         return _usage(f"--max-len must be between 1 and {TD_MAX_INPUT}")
     try:

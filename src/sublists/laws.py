@@ -62,8 +62,8 @@ def upgrade_tips(xs: Sequence) -> Iterator[Case]:
 
 def _raised(level: list, k: int, n: int, combine_level: Callable[[list], Iterable]) -> list[list]:
     """Level k of an n-element input raised by ``raise_level`` with ``combine_level``, twice: by the
-    length's stored plans, and by clause 4 alone, with no plan."""
-    return [level_engine.raise_level(level, k, n, plans, combine_level)
+    length's stored plans, and by clause 4 alone, with no plan; each raise consumes a copy of ``level``."""
+    return [level_engine.raise_level(list(level), k, n, plans, combine_level)
             for plans in (level_engine.gather_plan(n), ())]
 
 

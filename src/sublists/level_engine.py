@@ -114,7 +114,7 @@ def _columns(m: int) -> tuple[tuple[Callable, ...], ...]:
     pool = list(range(-comb(m, m // 2), 0))  # one int object for every getter's position
     plans = []
     for k in range(1, m):
-        blocks = _blocks(pool, k, m, ())
+        blocks = _blocks(pool[-comb(m, k) :], k, m, ())
         plans.append(tuple(_column(list(chain.from_iterable(column))) for column in zip(*blocks)))
     return tuple(plans)
 
@@ -138,7 +138,9 @@ def raise_level(level: list[A], k: int, m: int, plans: Sequence[Sequence[Callabl
     their first k columns from X raised as level k-1 of m-1 (for k = 1, X's one answer repeated) and
     their column k from T in order; the rows that drop it are T raised as level k of m-1. So above 10
     elements the level splits down to 10, and with ``()`` it splits all the way down, by clause 4 alone.
-    A block must get one answer per row; a block that gets more or fewer raises MalformedLevel.
+    A block must get one answer per row; a block that gets more or fewer raises MalformedLevel. The raise
+    consumes ``level``: each stretch of its answers is deleted once no later block reads it, X once the
+    rows that keep the first element are raised, so ``level`` ends empty; copy it to keep it.
     """
     raised = []
     for columns in _blocks(level, k, m, plans):
@@ -146,29 +148,43 @@ def raise_level(level: list[A], k: int, m: int, plans: Sequence[Sequence[Callabl
         raised += combine_level(columns)
         if len(raised) - start != rows:
             raise MalformedLevel(f"level {k + 1}: a block of {rows} rows got {len(raised) - start} answers")
+        del columns
     return raised
 
 
 def _blocks(level: list[A], k: int, m: int, plans: Sequence[Sequence[Callable]]) -> Iterator[list]:
     """``raise_level``'s blocks of level k of m, the last C(m, k) answers of ``level``, as column lists.
 
-    Positions count from the end, as in the plans, so T is ``level`` itself and only X and each block's
-    column k are sliced. Each column is a getter's tuple or a list, as long as the block has rows.
+    Positions count from the end, as in the plans. Each column is a getter's tuple or a list, as long as
+    the block has rows. Each dead stretch of ``level`` is a prefix of what is left, so deleting each one
+    once its last block is done frees the answers in the order they were made, as long as no column
+    outlives the list that owns its answers: each frame drops its columns after its yield.
     """
     if m == len(plans) + 1:
         yield [column(level) for column in plans[k - 1]]
+        # a list frees its items last to first; reversed, the spent answers go in the order
+        # they were made, so the allocator merges them and gives the memory back
+        level.reverse()
+        level.clear()
         return
     t = len(level) - comb(m - 1, k)  # T = level[t:], X = the C(m-1, k-1) answers before it
     if k == 1:
         yield [[level[t - 1]] * (m - 1), level[t:]]
+        del level[:t]
     else:
-        for columns in _blocks(level[t - comb(m - 1, k - 1) : t], k - 1, m - 1, plans):
+        blocks = _blocks(level[t - comb(m - 1, k - 1) : t], k - 1, m - 1, plans)  # it owns X
+        del level[:t]
+        t = 0
+        for columns in blocks:
             rows = len(columns[-1])
             columns.append(level[t : t + rows])
             yield columns
+            del columns
             t += rows
-    if k < m - 1:  # the last level's one row keeps the first element
+    if k < m - 1:
         yield from _blocks(level, k, m - 1, plans)
+    else:  # the last level's one row keeps the first element, and T is its one answer
+        level.clear()
 
 
 def upgrade_oracle(k: int, xs: S) -> list[list[S]]:

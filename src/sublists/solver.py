@@ -126,19 +126,16 @@ def levels(problem: SublistProblem[X, Y], xs: Sequence[X]) -> Iterator[list[Y]]:
     in order. Up to 10 elements a level is one block, gathered by the stored plans,
     ``level_engine.gather_plan(len(xs))`` (``up`` compiled to column getters); a longer one splits by
     ``up``'s clause 4 down to 10. Each block goes to ``combine_level`` when the problem has one, and
-    otherwise every row goes to ``combine``, on a fresh list. Each level is a new list, and at most two are
-    alive at once, so keep no yielded level past the next yield: it is then reversed, and dropped.
+    otherwise every row goes to ``combine``, on a fresh list. Each level is a new list, which the next
+    raise consumes: it deletes each stretch of the level's answers once no later block reads it, so the
+    yielded list is empty after the next yield; copy a level to keep it.
     """
     combine_level = problem.combine_level or (lambda columns: map(problem.combine, map(list, zip(*columns))))
     level = [problem.base(x) for x in xs]
     plans = level_engine.gather_plan(len(xs))
     yield level
     for k in range(1, len(xs)):
-        raised = level_engine.raise_level(level, k, len(xs), plans, combine_level)
-        # a list frees its items last to first; reversed, the spent answers go in the order
-        # they were made, so the allocator merges them and gives the memory back
-        level.reverse()
-        level = raised
+        level = level_engine.raise_level(level, k, len(xs), plans, combine_level)
         yield level
 
 

@@ -36,6 +36,17 @@ _BCD = "combine([combine([base(b), base(c)]), combine([base(b), base(d)]), combi
 _COST_CHECK = '    if n < 0:\n        raise EmptyInput("an empty input has no run to cost")\n'
 _EXAMPLE_CHECK = '    if length < 0:\n        raise ValueError(f"cannot build an example input of length {length}")\n'
 _INTS_EXAMPLE = '    if problem.input_kind == "ints":\n        return list(range(1, length + 1))\n'
+_KEEPS = (  # _blocks' rows that keep the first element, then those that drop it
+    "    if k == 1:\n        yield [[level[t - 1]] * (m - 1), level[t:]]\n        del level[:t]\n    else:\n"
+    "        blocks = _blocks(level[t - comb(m - 1, k - 1) : t], k - 1, m - 1, plans)  # it owns X\n"
+    "        del level[:t]\n        t = 0\n        for columns in blocks:\n            rows = len(columns[-1])\n"
+    "            columns.append(level[t : t + rows])\n            yield columns\n            del columns\n"
+    "            t += rows\n"
+)
+_DROPS = (
+    "    if k < m - 1:\n        yield from _blocks(level, k, m - 1, plans)\n"
+    "    else:  # the last level's one row keeps the first element, and T is its one answer\n        level.clear()\n"
+)
 _TD_COST = (
     "    if Algorithm(algo) is Algorithm.TOP_DOWN:\n        g_calls = 0\n"
     "        for j in range(2, m + 1):\n            g_calls = 1 + j * g_calls\n"
@@ -44,7 +55,7 @@ _TD_COST = (
 
 MUTANTS = [
     # lines that only a dedicated assertion holds
-    ("solver.py", "        level.reverse()\n", "",
+    ("level_engine.py", "        level.reverse()\n", "",
      "bu frees each spent level in the order its answers were made"),
     ("cli.py", "    except SublistsError as exc:", "    except ArithmeticError as exc:",
      "a domain error inside a command exits 2 with its message"),
@@ -131,18 +142,7 @@ MUTANTS = [
      "the split cuts a level after the C(m-1, k-1) answers that keep the first element"),
     ("level_engine.py", "columns.append(level[t : t + rows])", "columns.append(level[t - rows : t])",
      "the rows that keep the first element take their last column from T, not X"),
-    ("level_engine.py",
-     "    if k == 1:\n        yield [[level[t - 1]] * (m - 1), level[t:]]\n"
-     "    else:\n        for columns in _blocks(level[t - comb(m - 1, k - 1) : t], k - 1, m - 1, plans):\n"
-     "            rows = len(columns[-1])\n            columns.append(level[t : t + rows])\n"
-     "            yield columns\n            t += rows\n"
-     "    if k < m - 1:  # the last level's one row keeps the first element\n"
-     "        yield from _blocks(level, k, m - 1, plans)\n",
-     "    if k < m - 1:\n        yield from _blocks(level, k, m - 1, plans)\n"
-     "    if k == 1:\n        yield [[level[t - 1]] * (m - 1), level[t:]]\n"
-     "    else:\n        for columns in _blocks(level[t - comb(m - 1, k - 1) : t], k - 1, m - 1, plans):\n"
-     "            rows = len(columns[-1])\n            columns.append(level[t : t + rows])\n"
-     "            yield columns\n            t += rows\n",
+    ("level_engine.py", _KEEPS + _DROPS, _DROPS + _KEEPS,
      "the rows that keep the first element come before the rows that drop it"),
     ("level_engine.py", "[level[t - 1]] * (m - 1)", "[level[t - 1]] * (m - 2)",
      "at k = 1 the first element's answer is repeated once per later element"),
@@ -175,7 +175,7 @@ MUTANTS = [
      "a one-row column at the level's last position slices to the level's end"),
     ("level_engine.py", "range(-comb(m, m // 2), 0)", "range(-comb(m, m // 2 - 1), 0)",
      "the position pool reaches the widest level, C(m, m // 2) answers"),
-    ("level_engine.py", "_blocks(pool, k, m, ())", "_blocks(pool[:-1], k, m, ())",
+    ("level_engine.py", "_blocks(pool[-comb(m, k) :], k, m, ())", "_blocks(pool[:-1][-comb(m, k) :], k, m, ())",
      "the getters are built from the pool's last C(m, k) positions, level k of positions"),
     ("level_engine.py", "    for k in range(1, m):\n", "    for k in range(1, m - 1):\n",
      "every level, the last included, gets its plan"),
@@ -183,6 +183,25 @@ MUTANTS = [
      "a getter's column runs across every block of the split level"),
     ("laws.py", "(level_engine.gather_plan(n), ())", "(level_engine.gather_plan(n),)",
      "the laws also gather by clause 4 alone, with no plan, as bu does above 10 elements"),
+    ("laws.py", "raise_level(list(level), k, n,", "raise_level(level, k, n,",
+     "the laws raise a copy of each level, as a raise consumes its level and they raise each one twice"),
+    # the raise consumes its level, deleting each stretch once no later block reads it, held by the
+    # count of answers alive at once, the free order and the emptied level
+    ("level_engine.py", "        del level[:t]\n        t = 0\n", "",
+     "the answers that keep the first element go once the rows that keep it are raised"),
+    ("level_engine.py", "        del level[:t]\n        t = 0\n", "        del level[: t + 1]\n        t = 0\n",
+     "the split deletes X alone, not T's first answer with it"),
+    ("level_engine.py", "(m - 1), level[t:]]\n        del level[:t]\n", "(m - 1), level[t:]]\n",
+     "at k = 1 the split deletes X's one answer once its block is raised"),
+    ("level_engine.py", "        level.clear()\n        return\n", "        return\n",
+     "a level gathered by a stored plan is cleared once its one block is raised"),
+    ("level_engine.py", "    else:  # the last level's one row keeps the first element, and T is its one answer\n"
+     "        level.clear()\n", "",
+     "the last level's one answer that drops the first element is deleted once its row is raised"),
+    ("level_engine.py", "        del columns\n    return raised\n", "    return raised\n",
+     "raise_level drops each block's columns before the walk frees the answers they hold"),
+    ("level_engine.py", "            yield columns\n            del columns\n", "            yield columns\n",
+     "each clause-4 frame drops its columns before the walk frees the answers they hold"),
     # the one sweep of inputs, in replay: each law's first length and the last, held by the case
     # counts; combine-level's 2 -> 1 is equivalent and not listed, since a one-element input has no
     # level to raise and yields no case, and no law or sweep guards against short inputs
@@ -224,10 +243,10 @@ MUTANTS = [
      "levels yields the seed level, base on every element"),
     ("solver.py", "    for k in range(1, len(xs)):\n", "    for k in range(1, len(xs) - 1):\n",
      "levels raises the seed level m - 1 times, down to one answer"),
-    ("solver.py", "        level = raised\n        yield level\n", "        level = raised\n",
+    ("solver.py", "combine_level)\n        yield level\n", "combine_level)\n",
      "levels yields every raised level"),
-    ("solver.py", "        level = raised\n", "        spent, level = level, raised\n",
-     "levels keeps no spent level alive past the next raise, held by the warm solve's traced peak"),
+    ("solver.py", "raise_level(level, k, len(xs),", "raise_level(list(level), k, len(xs),",
+     "levels hands raise_level the level itself, so the raise frees it as it goes"),
     ("solver.py", "map(problem.combine, map(list, zip(*columns)))", "map(problem.combine, zip(*columns))",
      "the row path hands combine each row as a fresh list"),
     ("solver.py", "    for level in levels(problem, xs):\n        pass\n", "    for level in levels(problem, xs):\n        break\n",

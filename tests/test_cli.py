@@ -173,6 +173,24 @@ def test_a_reader_that_stops_early_ends_the_command_quietly():
         assert (proc.wait(timeout=60), err) == (141, b"")
 
 
+def test_only_verify_loads_the_laws():
+    # a fresh process: importing the CLI and running run, dump and bench leave sublists.laws unloaded
+    code = (
+        "import contextlib, io, sys\n"
+        "from sublists import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['run', '--problem', 'modsum', '--input', '1,2,3'], ['dump', '--k', '1', '--input', 'ab'],\n"
+        "                 ['bench', '--max-len', '2']):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "    print('sublists.laws' in sys.modules, file=sys.stderr)\n"
+        "    assert cli.main(['verify', '--max-len', '2']) == 0\n"
+        "print('sublists.laws' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "False\n", "True\n")
+
+
 def test_dump_after_up_matches_the_library(capsys):
     code, out, _ = run_cli(capsys, "dump", "--k", "2", "--input", "abcde", "--stage", "after-up")
     assert code == 0

@@ -9,6 +9,7 @@ import operator
 import sys
 import threading
 import tracemalloc
+import weakref
 from dataclasses import replace
 from math import comb
 
@@ -285,14 +286,33 @@ def test_every_stored_plan_is_up_on_distinct_tips():
 @pytest.mark.parametrize("m", [5, 10, 12])
 def test_a_level_is_read_from_the_end_of_its_list(m):
     # the plans and the clause-4 split both count positions from the level's end, so answers before
-    # the level change nothing; _columns relies on this when it hands _blocks the whole position pool.
-    # laws._raised raises a level twice, by the length's plans and with no plan
+    # the level change nothing (the raise deletes them with the level). laws._raised raises a copy of
+    # the level twice, by the length's plans and with no plan
     def rows(columns):
         return list(map(list, zip(*columns)))
 
     for k in range(1, m):
         level = list(range(comb(m, k)))
         assert laws._raised(["pad"] * 3 + level, k, m, rows) == laws._raised(level, k, m, rows), k
+
+
+@pytest.mark.parametrize("m", [2, 5, 10, 12])
+def test_a_raise_consumes_its_level_in_order(m):
+    # each stretch of the level is deleted once no later block reads it, so with the stored plans or
+    # with none, on one block or on many, the level ends empty, its answers freed in the order they
+    # sit in it; solver.levels relies on both
+    for plans in (level_engine.gather_plan(m), ()):
+        for k in range(1, m):
+            freed = []
+
+            class Answer:
+                def __init__(self, label):
+                    weakref.finalize(self, freed.append, label)
+
+            level = [Answer(label) for label in range(comb(m, k))]
+            raised = level_engine.raise_level(level, k, m, plans, lambda columns: map(len, zip(*columns)))
+            assert (level, raised) == ([], [k + 1] * comb(m, k + 1)), (k, len(plans))
+            assert freed == list(range(comb(m, k))), (k, len(plans))
 
 
 def _resident(*plans) -> int:

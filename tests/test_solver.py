@@ -176,9 +176,9 @@ def test_bu_trace_example():
 
 
 def test_bu_frees_each_spent_level_in_the_order_it_was_made():
-    # answers are labelled in the order they are made; each level dies once the next is made, also
-    # at 13 elements, where each level is raised in several blocks; bu and a plain consumer of
-    # levels, which drops each level at the next yield, both free them so
+    # answers are labelled in the order they are made and freed in that order, also at 11 and 13
+    # elements, where each level is raised in several blocks and freed in stretches as the raise goes;
+    # bu and a plain consumer of levels, which drops each level at the next yield, both free them so
     def bu_answer(boxed, xs):
         return bu(len(xs) - 1, boxed, xs)
 
@@ -188,7 +188,7 @@ def test_bu_frees_each_spent_level_in_the_order_it_was_made():
         return level[0]
 
     for evaluate in [bu_answer, last_of_levels]:
-        for length in [5, 13]:
+        for length in [5, 11, 13]:
             made, freed = [], []
 
             class Answer:
@@ -203,6 +203,26 @@ def test_bu_frees_each_spent_level_in_the_order_it_was_made():
             assert answer.value == solve(MODSUM, xs)
             assert len(made) == 2**length - 1, (evaluate.__name__, length)
             assert freed == list(range(len(made) - 1)), (evaluate.__name__, length)
+
+
+def test_bu_keeps_alive_only_the_answers_a_later_block_reads():
+    # answers alive at once, counted as they are made and freed: above 10 elements each level's
+    # answers that keep its first element die once the rows that keep it are raised, so the peak
+    # stays near the widest level, C(m, m // 2), not at the two widest levels (924, 3,432 and 24,310);
+    # at 16 elements it is under 1.1 x C(16, 8) = 14,157
+    for length, peak in [(11, 714), (13, 2100), (16, 13683)]:
+        alive, freed = [], []
+
+        class Answer:
+            def __init__(self, value):
+                self.value = value
+                weakref.finalize(self, freed.append, None)
+                alive.append(len(alive) + 1 - len(freed))  # the answers alive once this one is made
+
+        boxed = SublistProblem("boxed", Answer, lambda ys: Answer(MODSUM.combine([y.value for y in ys])))
+        xs = list(range(1, length + 1))
+        assert bu(length - 1, boxed, xs).value == solve(MODSUM, xs)
+        assert max(alive) == peak, length
 
 
 def test_the_row_path_hands_combine_each_row_as_a_fresh_list():
@@ -330,9 +350,10 @@ def test_modsum_level_combine_builds_no_column_lists():
     assert _warm_peak(MODSUM, xs) <= 1.02 * _warm_peak(replace(MODSUM, combine_level=None), xs)
 
 
-def test_a_warm_solve_peaks_at_its_two_widest_levels():
-    # bu keeps at most two levels alive, so its floor is the widest level and the one raised from or
-    # to it; a spent level kept one step longer reads about 1.5x on the ints and 1.25x on trace
+def test_a_warm_solve_peaks_near_its_widest_level():
+    # bu frees each level's answers once no later block reads them, so at 16 elements its floor is the
+    # 13,683 answers alive at once (see above), about 1.06x the widest level; the ints read about 1.13x
+    # that floor with the blocks' columns, and about 1.9x with each level kept whole until its raise ends
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -342,9 +363,9 @@ def test_a_warm_solve_peaks_at_its_two_widest_levels():
         tracemalloc.stop()
     rng = random.Random(16)
     xs = [rng.randint(-(10**6), 10**6) for _ in range(16)]
-    floor = (comb(16, 8) + comb(16, 9)) * per_answer
+    floor = 13683 * per_answer
     for problem in (MODSUM, MAXMIN):
-        assert _warm_peak(problem, xs) <= 1.15 * floor, problem.name
+        assert _warm_peak(problem, xs) <= 1.25 * floor, problem.name
     # level 9's ten answers and the answer joined from them, one byte a character
     assert _warm_peak(TRACE, prefix(10)) <= 1.1 * 2 * trace_answer_length(10)
 
