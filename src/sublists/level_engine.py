@@ -99,11 +99,10 @@ def gather_plan(m: int) -> tuple[tuple[Callable, ...], ...]:
     stored up to 10 elements; ``raise_level`` splits a longer input's levels down to 10 and gathers
     the parts by these plans.
 
-    The positions, counted from the level's end (p - C(s, k)), are level k of positions split by
-    ``up``'s clause 4: ``_blocks`` with no plan, as ``raise_level`` splits a level above 10. The
-    getters share one int per distinct position. Each length's getters are built on its first call
-    and kept by ``_columns``' cache (s * 2**(s-1) - s positions, 5,110 at 10), so a later call builds
-    nothing. Threads that ask for a new length at once may each build it; each gets whole getters.
+    Level k's positions, 0 to C(s, k) - 1 from its front, are split by ``up``'s clause 4: ``_blocks``
+    with no plan, as ``raise_level`` splits a level above 10. Each length's getters are built on its
+    first call and kept by ``_columns``' cache (s * 2**(s-1) - s positions, 5,110 at 10), so a later
+    call builds nothing. Threads that ask for a new length at once may each build it; each gets it whole.
     """
     return _columns(min(m, _STORED))
 
@@ -111,10 +110,10 @@ def gather_plan(m: int) -> tuple[tuple[Callable, ...], ...]:
 @cache  # gather_plan's answer for each length asked for so far
 def _columns(m: int) -> tuple[tuple[Callable, ...], ...]:
     """``gather_plan(m)``, built: each level of positions split by ``_blocks`` with no plan, into getters."""
-    pool = list(range(-comb(m, m // 2), 0))  # one int object for every getter's position
     plans = []
     for k in range(1, m):
-        blocks = _blocks(pool[-comb(m, k) :], k, m, ())
+        # each position is below C(10, 5) = 252, a cached small int, so no pool is needed to share them
+        blocks = _blocks(list(range(comb(m, k))), k, m, ())
         plans.append(tuple(_column(list(chain.from_iterable(column))) for column in zip(*blocks)))
     return tuple(plans)
 
@@ -124,17 +123,17 @@ def _column(positions: list[int]) -> Callable:
     if len(positions) > 1:
         return itemgetter(*positions)
     (p,) = positions
-    return itemgetter(slice(p, p + 1 or None))
+    return itemgetter(slice(p, p + 1))
 
 
 def raise_level(level: list[A], k: int, m: int, plans: Sequence[Sequence[Callable]], combine_level: Callable) -> list:
     """Level k of an m-element input raised a step: ``combine_level``'s answers for its blocks, in a new list.
 
-    Level k is the last C(m, k) answers of ``level``. ``plans`` is ``gather_plan(m)``, or ``()`` for
-    no plan. A block is consecutive rows as k + 1 columns (column i takes every row's i-th answer).
-    When the plans are for m elements the level is one block, its columns plan k's getters applied to
-    it. A longer level splits by ``up``'s clause 4 on its first element: its last C(m-1, k) answers T
-    drop that element and the C(m-1, k-1) answers X before them keep it. The rows that keep it take
+    ``level`` is level k's C(m, k) answers. ``plans`` is ``gather_plan(m)``, or ``()`` for no plan.
+    A block is consecutive rows as k + 1 columns (column i takes every row's i-th answer). When the
+    plans are for m elements the level is one block, its columns plan k's getters applied to it. A
+    longer level splits by ``up``'s clause 4 on its first element: its first C(m-1, k-1) answers X
+    keep that element and the C(m-1, k) answers T after them drop it. The rows that keep it take
     their first k columns from X raised as level k-1 of m-1 (for k = 1, X's one answer repeated) and
     their column k from T in order; the rows that drop it are T raised as level k of m-1. So above 10
     elements the level splits down to 10, and with ``()`` it splits all the way down, by clause 4 alone.
@@ -153,12 +152,12 @@ def raise_level(level: list[A], k: int, m: int, plans: Sequence[Sequence[Callabl
 
 
 def _blocks(level: list[A], k: int, m: int, plans: Sequence[Sequence[Callable]]) -> Iterator[list]:
-    """``raise_level``'s blocks of level k of m, the last C(m, k) answers of ``level``, as column lists.
+    """``raise_level``'s blocks of level k of m, the C(m, k) answers of ``level``, as column lists.
 
-    Positions count from the end, as in the plans. Each column is a getter's tuple or a list, as long as
-    the block has rows. Each dead stretch of ``level`` is a prefix of what is left, so deleting each one
-    once its last block is done frees the answers in the order they were made, as long as no column
-    outlives the list that owns its answers: each frame drops its columns after its yield.
+    Each column is a getter's tuple or a list, as long as the block has rows. Each dead stretch of
+    ``level`` is a prefix of what is left, so deleting each one once its last block is done frees the
+    answers in the order they were made, as long as no column outlives the list that owns its answers:
+    each frame drops its columns after its yield.
     """
     if m == len(plans) + 1:
         yield [column(level) for column in plans[k - 1]]
@@ -167,12 +166,12 @@ def _blocks(level: list[A], k: int, m: int, plans: Sequence[Sequence[Callable]])
         level.reverse()
         level.clear()
         return
-    t = len(level) - comb(m - 1, k)  # T = level[t:], X = the C(m-1, k-1) answers before it
+    t = comb(m - 1, k - 1)  # X = level[:t], T = level[t:]
     if k == 1:
-        yield [[level[t - 1]] * (m - 1), level[t:]]
+        yield [[level[0]] * (m - 1), level[t:]]
         del level[:t]
     else:
-        blocks = _blocks(level[t - comb(m - 1, k - 1) : t], k - 1, m - 1, plans)  # it owns X
+        blocks = _blocks(level[:t], k - 1, m - 1, plans)  # it owns X
         del level[:t]
         t = 0
         for columns in blocks:

@@ -37,8 +37,8 @@ _COST_CHECK = '    if n < 0:\n        raise EmptyInput("an empty input has no ru
 _EXAMPLE_CHECK = '    if length < 0:\n        raise ValueError(f"cannot build an example input of length {length}")\n'
 _INTS_EXAMPLE = '    if problem.input_kind == "ints":\n        return list(range(1, length + 1))\n'
 _KEEPS = (  # _blocks' rows that keep the first element, then those that drop it
-    "    if k == 1:\n        yield [[level[t - 1]] * (m - 1), level[t:]]\n        del level[:t]\n    else:\n"
-    "        blocks = _blocks(level[t - comb(m - 1, k - 1) : t], k - 1, m - 1, plans)  # it owns X\n"
+    "    if k == 1:\n        yield [[level[0]] * (m - 1), level[t:]]\n        del level[:t]\n    else:\n"
+    "        blocks = _blocks(level[:t], k - 1, m - 1, plans)  # it owns X\n"
     "        del level[:t]\n        t = 0\n        for columns in blocks:\n            rows = len(columns[-1])\n"
     "            columns.append(level[t : t + rows])\n            yield columns\n            del columns\n"
     "            t += rows\n"
@@ -138,24 +138,26 @@ MUTANTS = [
      "trace's base is str"),
     # the split of a level above the stored length by up's clause 4, held by the up-flat law's
     # blocks split by clause 4 alone, with no plan, and by bu above 10 elements
-    ("level_engine.py", "    t = len(level) - comb(m - 1, k)  #", "    t = len(level) - comb(m - 1, k) + 1  #",
+    ("level_engine.py", "    t = comb(m - 1, k - 1)  #", "    t = comb(m - 1, k - 1) + 1  #",
      "the split cuts a level after the C(m-1, k-1) answers that keep the first element"),
     ("level_engine.py", "columns.append(level[t : t + rows])", "columns.append(level[t - rows : t])",
      "the rows that keep the first element take their last column from T, not X"),
     ("level_engine.py", _KEEPS + _DROPS, _DROPS + _KEEPS,
      "the rows that keep the first element come before the rows that drop it"),
-    ("level_engine.py", "[level[t - 1]] * (m - 1)", "[level[t - 1]] * (m - 2)",
+    ("level_engine.py", "[level[0]] * (m - 1)", "[level[0]] * (m - 2)",
      "at k = 1 the first element's answer is repeated once per later element"),
-    ("level_engine.py", "[level[t - 1]] * (m - 1)", '__import__("itertools").repeat(level[t - 1], m - 1)',
+    ("level_engine.py", "[level[0]] * (m - 1)", '__import__("itertools").repeat(level[0], m - 1)',
      "at k = 1 the repeated column is a list, so every column bu hands over is a sequence"),
-    ("level_engine.py", "t = len(level) - comb(m - 1, k)", "t = len(level) - comb(m - 1, k - 1)",
-     "T, the answers that drop the first element, is the level's last C(m-1, k)"),
-    ("level_engine.py", "[level[t - 1]] * (m - 1)", "[level[t]] * (m - 1)",
-     "at k = 1 the repeated answer is X's one answer, just before T"),
+    ("level_engine.py", "t = comb(m - 1, k - 1)", "t = comb(m - 1, k)",
+     "X, the answers that keep the first element, is the level's first C(m-1, k-1), not C(m-1, k)"),
+    ("level_engine.py", "[level[0]] * (m - 1)", "[level[1]] * (m - 1)",
+     "at k = 1 the repeated answer is X's one answer, the level's first"),
     ("level_engine.py", "rows = len(columns[-1])", "rows = len(columns[-1]) - 1",
      "a block's row count is the length of its last column"),
-    ("level_engine.py", "level[t - comb(m - 1, k - 1) : t]", "level[t - comb(m - 1, k - 1) : t + 1]",
-     "X is the C(m-1, k-1) answers just before T, and ends where T starts"),
+    ("level_engine.py", "_blocks(level[:t], k - 1", "_blocks(level[: t + 1], k - 1",
+     "X ends where T starts"),
+    ("level_engine.py", "_blocks(level[:t], k - 1", "_blocks(level[1:t], k - 1",
+     "X starts at the level's front"),
     # the one way into the stored plans, gather_plan's clamp and cache, the column getters and
     # raise_level's use of them, held by the plan tests and the up-flat and combine-level laws; one
     # mutant here is equivalent and not listed: == -> <= in _blocks' base changes nothing, since
@@ -171,12 +173,12 @@ MUTANTS = [
      "a block gathered by a plan gets every one of its k + 1 columns"),
     ("level_engine.py", "    if len(positions) > 1:\n", "    if len(positions) > 0:\n",
      "a one-row column, on the last level, still comes back as a sequence"),
-    ("level_engine.py", "itemgetter(slice(p, p + 1 or None))", "itemgetter(slice(p, p + 1))",
-     "a one-row column at the level's last position slices to the level's end"),
-    ("level_engine.py", "range(-comb(m, m // 2), 0)", "range(-comb(m, m // 2 - 1), 0)",
-     "the position pool reaches the widest level, C(m, m // 2) answers"),
-    ("level_engine.py", "_blocks(pool[-comb(m, k) :], k, m, ())", "_blocks(pool[:-1][-comb(m, k) :], k, m, ())",
-     "the getters are built from the pool's last C(m, k) positions, level k of positions"),
+    ("level_engine.py", "itemgetter(slice(p, p + 1))", "itemgetter(slice(p, p + 2))",
+     "a one-row column slices out its one position alone"),
+    ("level_engine.py", "_blocks(list(range(comb(m, k))), k, m, ())", "_blocks(list(range(comb(m, k) + 1)), k, m, ())",
+     "the getters are built from level k's C(m, k) positions, not one more"),
+    ("level_engine.py", "_blocks(list(range(comb(m, k))), k, m, ())", "_blocks(list(range(1, comb(m, k) + 1)), k, m, ())",
+     "a level's positions count from its front, from 0"),
     ("level_engine.py", "    for k in range(1, m):\n", "    for k in range(1, m - 1):\n",
      "every level, the last included, gets its plan"),
     ("level_engine.py", "_column(list(chain.from_iterable(column)))", "_column(list(column[0]))",

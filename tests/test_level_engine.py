@@ -283,19 +283,6 @@ def test_every_stored_plan_is_up_on_distinct_tips():
             assert gather(values, level_engine.gather_plan(m)[k - 1]) == tips(up(t)), (k, m)
 
 
-@pytest.mark.parametrize("m", [5, 10, 12])
-def test_a_level_is_read_from_the_end_of_its_list(m):
-    # the plans and the clause-4 split both count positions from the level's end, so answers before
-    # the level change nothing (the raise deletes them with the level). laws._raised raises a copy of
-    # the level twice, by the length's plans and with no plan
-    def rows(columns):
-        return list(map(list, zip(*columns)))
-
-    for k in range(1, m):
-        level = list(range(comb(m, k)))
-        assert laws._raised(["pad"] * 3 + level, k, m, rows) == laws._raised(level, k, m, rows), k
-
-
 @pytest.mark.parametrize("m", [2, 5, 10, 12])
 def test_a_raise_consumes_its_level_in_order(m):
     # each stretch of the level is deleted once no later block reads it, so with the stored plans or
@@ -318,27 +305,21 @@ def test_a_raise_consumes_its_level_in_order(m):
 def _resident(*plans) -> int:
     """Bytes the allocator holds for the getters in ``plans`` and all they refer to, each object once.
 
-    The ints from -5 to 256 are the interpreter's own, made at start-up. An int may ask the allocator
-    for more than ``getsizeof`` says (32 bytes against 28 on CPython 3.11), so its size is traced.
+    Every position is one of the ints from -5 to 256 that the interpreter makes at start-up, so the
+    walk meets no int of the getters' own.
     """
-    seen, total, ints, todo = set(), 0, 0, list(plans)
+    seen, total, todo = set(), 0, list(plans)
     while todo:
         obj = todo.pop()
-        if id(obj) in seen or obj is None or isinstance(obj, type) or type(obj) is int and -5 <= obj <= 256:
+        if id(obj) in seen or obj is None or isinstance(obj, type):
             continue
         seen.add(id(obj))
         if type(obj) is int:
-            ints += 1
+            assert -5 <= obj <= 256, obj
             continue
         total += sys.getsizeof(obj)
         todo.extend(gc.get_referents(obj))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        fresh = tuple(range(-1000 - ints, -1000))
-        return total + tracemalloc.get_traced_memory()[0] - before - sys.getsizeof(fresh)
-    finally:
-        tracemalloc.stop()
+    return total
 
 
 def _applied(plans, m: int) -> list[list[list]]:
@@ -346,7 +327,13 @@ def _applied(plans, m: int) -> list[list[list]]:
     return [gather(list(range(comb(m, k))), plan) for k, plan in enumerate(plans, start=1)]
 
 
-def test_gather_plans_are_cached_column_getters_over_pooled_positions():
+def _positions(column) -> list[int]:
+    """The positions one getter reads: its items, a one-row getter's slice spelt out."""
+    items = column.__reduce__()[1]
+    return [p for item in items for p in (range(item.start, item.stop) if type(item) is slice else [item])]
+
+
+def test_gather_plans_are_cached_column_getters_over_level_positions():
     # tests share one process, so start from an empty cache
     level_engine._columns.cache_clear()
     plans = level_engine.gather_plan(7)
@@ -367,7 +354,12 @@ def test_gather_plans_are_cached_column_getters_over_pooled_positions():
     items = [p for plan in level_engine.gather_plan(10)[:-1] for column in plan for p in column.__reduce__()[1]]
     assert len({id(p) for p in items}) == len(set(items)) == comb(10, 5)
 
-    # only the lengths asked for stay resident, each its getters and one pool; the window's ends
+    # each level is read from its front: every getter of level k reads only its C(m, k) positions
+    for m in range(2, level_engine._STORED + 1):
+        for k, plan in enumerate(level_engine.gather_plan(m), start=1):
+            assert all(0 <= p < comb(m, k) for column in plan for p in _positions(column)), (k, m)
+
+    # only the lengths asked for stay resident, each only its getters; the window's ends
     # collect, since the interpreter keeps freed tuples on free lists that tracemalloc still counts
     level_engine._columns.cache_clear()
     tracemalloc.start()
@@ -383,7 +375,7 @@ def test_gather_plans_are_cached_column_getters_over_pooled_positions():
     assert level_engine._columns.cache_info().currsize == 2  # 9 and 10
     assert sum(len(column.__reduce__()[1]) for plan in level_engine.gather_plan(10) for column in plan) == 5_110
     alone = _resident(level_engine.gather_plan(9), level_engine.gather_plan(10))
-    assert alone <= resident < alone + 1024  # a 10-element pool tuple would add 2 KiB
+    assert alone <= resident < alone + 1024  # 252 fresh ints, one per position, would add nearly 8 KiB
 
 
 def test_concurrent_readers_see_only_whole_plans():
