@@ -17,10 +17,10 @@ Three problems ship with the package. Each is specified by its one-line
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import mul
+import sys
+from array import array
 from string import ascii_lowercase
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .solver import SublistProblem
 
@@ -58,11 +58,32 @@ def _modsum_combine(ys: list[int]) -> int:
     return (1 + t) % MODULUS
 
 
-def _modsum_combine_level(columns: list[Iterable[int]]) -> list[int]:
-    # column i holds every row's i-th answer: weight the columns lazily and let sum, started
-    # at 1, add up each row in C; the answers are the only list as long as a column
-    weighted = [map(mul, col, repeat(i)) for i, col in enumerate(columns[1:], start=2)]
-    return [s % MODULUS for s in map(sum, zip(columns[0], *weighted), repeat(1))]
+_ORDER = sys.byteorder  # a column's lanes in the array's own order, so packing copies bytes
+_ONE = array("I", [1])  # one row's lane, holding the 1 of its sum
+_LANE = _ONE.itemsize  # bytes in a lane
+_HIGH = (1 << 8 * _LANE) - (1 << 20)  # a lane's bits from 2**20 up; every bu answer is below MODULUS < 2**20
+_WIDEST = 90  # the most columns whose weights, 1 + 2 + ... + 90 = 4,095, keep (2**20 - 1) * 4,095 + 1 < 2**32
+
+
+def _modsum_combine_level(columns: Sequence[Iterable[int]]) -> list[int]:
+    # column i holds every row's i-th answer. Packed one row per 32-bit lane, a column is one int,
+    # so the rows' sums take k + 1 whole-int multiply-adds in C, from the packed ones. A block with
+    # more than 90 columns, or an answer outside [0, 2**20) or no int at all, could carry out of a
+    # lane, so it goes row by row, by the definition; bu's own blocks never do
+    columns = list(map(tuple, columns))
+    rows = len(columns[0])
+    ones = int.from_bytes(_ONE * rows, _ORDER)
+    acc, seen = ones, 0
+    try:
+        for i, col in enumerate(columns, 1):
+            lanes = int.from_bytes(array("I", col), _ORDER)
+            acc += i * lanes
+            seen |= lanes
+    except (OverflowError, TypeError):  # a negative answer, one of 2**32 or more, or no int
+        seen = ~0  # every lane out of range
+    if len(columns) <= _WIDEST and not seen & ones * _HIGH:
+        return [s % MODULUS for s in array("I", acc.to_bytes(rows * _LANE, _ORDER))]
+    return list(map(_modsum_combine, zip(*columns)))
 
 
 def _maxmin_base(x: int) -> int:

@@ -47,15 +47,15 @@ class SublistProblem(Generic[X, Y]):
     equal-length sequences, and returns one answer per row, in order, as
     any iterable, which ``bu`` only reads; another count raises
     ``MalformedLevel``. ``bu`` may call it several times per level, once per
-    block; up to 10 elements a level is one block. On an m-element input a
-    level can hold C(m, m // 2) rows, so it should consume the columns
-    lazily. Each call gives ``map(combine, rows)``'s answers for its block;
-    ``bu`` uses it in place of ``combine``, while ``td`` uses only
-    ``combine``, which stays the definition. ``replace(problem, combine=...)``
-    keeps the old ``combine_level``, so clear or replace it in the same call.
+    block; up to 10 elements a level is one block, and every block holds
+    at most C(10, 5) = 252 rows. Each call gives ``map(combine, rows)``'s
+    answers for its block; ``bu`` uses it in place of ``combine``, while
+    ``td`` uses only ``combine``, which stays the definition.
+    ``replace(problem, combine=...)`` keeps the old ``combine_level``, so
+    clear or replace it in the same call.
     What it buys, measured for ``modsum`` on Python 3.11.7 (in-process,
-    best of 31): its row path takes ×1.45–1.47 the column path's time at
-    12 ints, ×1.43–1.46 at 15 and ×1.45–1.48 at 16.
+    best of 31): its row path takes ×2.31–2.41 the packed column path's
+    time at 12 ints, ×2.20–2.43 at 15 and ×2.23–2.30 at 16.
     """
 
     name: str

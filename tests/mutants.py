@@ -253,16 +253,31 @@ MUTANTS = [
      "the row path hands combine each row as a fresh list"),
     ("solver.py", "    for level in levels(problem, xs):\n        pass\n", "    for level in levels(problem, xs):\n        break\n",
      "bu answers from the last of the levels, not the first"),
-    ("instances.py", "    weighted = [", "    columns = columns[::-1]\n    weighted = [",
+    # modsum's level combine: the weighted sums in packed 32-bit lanes, and its row path for the rest
+    ("instances.py", "enumerate(columns, 1):", "enumerate(columns[::-1], 1):",
      "modsum's level combine weights its columns in order"),
+    ("instances.py", "enumerate(columns, 1):", "enumerate(columns, 2):",
+     "modsum's level combine weights column i by its 1-based position i + 1"),
+    ("instances.py", "enumerate(columns, 1):", "enumerate(columns[1:], 2):",
+     "modsum's level combine adds in each row's first answer"),
+    ("instances.py", "acc, seen = ones, 0", "acc, seen = 0, 0",
+     "modsum's level combine adds the 1 to each row"),
     ("instances.py", "[s % MODULUS for s in", "[s for s in",
      "modsum's level combine reduces by the modulus"),
-    ("instances.py", "enumerate(columns[1:], start=2)", "enumerate(columns[1:], start=1)",
-     "modsum's level combine weights column i by its 1-based position i + 1"),
-    ("instances.py", "zip(columns[0], *weighted), repeat(1))", "zip(columns[0], *weighted), repeat(0))",
-     "modsum's level combine adds the 1 to each row"),
-    ("instances.py", "zip(columns[0], *weighted)", "zip(*weighted)",
-     "modsum's level combine adds in each row's first answer"),
+    ("instances.py", "_HIGH = (1 << 8 * _LANE) - (1 << 20)", "_HIGH = (1 << 8 * _LANE) - (1 << 21)",
+     "modsum's level combine takes an answer of 2**20 row by row"),
+    ("instances.py", "            seen |= lanes\n", "",
+     "modsum's level combine checks every column's answers against its lanes"),
+    ("instances.py", "_WIDEST = 90", "_WIDEST = 91",
+     "modsum's level combine takes 91 columns row by row"),
+    ("instances.py", "except (OverflowError, TypeError):", "except OverflowError:",
+     "modsum's level combine takes an answer that is no int row by row"),
+    ("instances.py", "        seen = ~0", "        pass",
+     "modsum's level combine takes a block with a negative answer row by row"),
+    ("instances.py", "columns = list(map(tuple, columns))", "columns = list(columns)",
+     "modsum's row path reads iterator columns again"),
+    ("instances.py", "_ORDER = sys.byteorder", '_ORDER = "big"',
+     "modsum's level combine packs and unpacks its lanes in the array's own byte order"),
     ("solver.py", "    if n < 0:\n        raise EmptyInput(\"cannot solve", "    if n < -1:\n        raise EmptyInput(\"cannot solve",
      "an empty input is refused before any evaluator runs"),
     # the library's other two refusals of an impossible length

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
 from string import ascii_lowercase
 
 import pytest
@@ -16,7 +18,9 @@ from sublists import (
     example_input,
     get_problem,
     parse_input,
+    solve,
 )
+from sublists import instances
 
 
 def test_registry():
@@ -83,6 +87,68 @@ def test_modsum_level_combine_is_combine_on_each_row(columns, form, first_repeat
         columns[0] = columns[0][:1] * len(columns[0])
     expected = list(map(MODSUM.combine, map(list, zip(*columns))))
     assert MODSUM.combine_level([form(col) for col in columns]) == expected
+
+
+def _row_combines(monkeypatch) -> list:
+    """The rows that modsum's level combine hands to its row path, by the definition, from now on."""
+    rows = []
+
+    def counted(ys):
+        rows.append(ys)
+        return row_combine(ys)
+
+    row_combine = instances._modsum_combine
+    monkeypatch.setattr(instances, "_modsum_combine", counted)
+    return rows
+
+
+@pytest.mark.parametrize("width, packed", [(2, True), (90, True), (91, False)])
+def test_modsum_level_combine_packs_up_to_90_columns(monkeypatch, width, packed):
+    # answers of 2**20 - 1 under weights 1..90 fill a 32-bit lane to (2**20 - 1) * 4,095 + 1, its
+    # largest value; a 91st column would carry into the next row's lane
+    top = 2**20 - 1
+    columns = [(top, 0, top, i) for i in range(width)]
+    rows = _row_combines(monkeypatch)
+    expected = [MODSUM.combine(list(row)) for row in zip(*columns)]
+    assert MODSUM.combine_level(columns) == expected
+    assert len(rows) == (0 if packed else 4)
+
+
+@pytest.mark.parametrize("odd", [2**20, 2**21 - 1, 2**32 - 1, 2**32, 2**64, -1, -MODULUS, Fraction(7, 2)])
+def test_modsum_level_combine_takes_answers_outside_its_lanes_row_by_row(monkeypatch, odd):
+    # the lanes hold answers in [0, 2**20); anything else, in any column, goes row by row, by the
+    # definition, which reads each column again, an iterator too
+    rows = _row_combines(monkeypatch)
+    for at in (0, 44, 89):
+        columns = [[2**20 - 1, 5, i] for i in range(90)]
+        columns[at][1] = odd
+        expected = [MODSUM.combine(list(row)) for row in zip(*columns)]
+        for form in (tuple, list, iter):
+            rows.clear()
+            assert MODSUM.combine_level([form(col) for col in columns]) == expected, (at, form)
+            assert len(rows) == 3, (at, form)
+
+
+@pytest.mark.parametrize("form", [tuple, list, iter])
+def test_modsum_level_combine_answers_a_one_row_block(monkeypatch, form):
+    rows = _row_combines(monkeypatch)
+    for ys in ([0, 0], [MODULUS - 1, MODULUS - 1], [3, 1, 4, 1, 5, 9, 2, 6]):
+        assert MODSUM.combine_level([form([y]) for y in ys]) == [MODSUM.combine(ys)]
+    assert rows == []
+
+
+def test_bu_never_takes_modsum_row_path(monkeypatch):
+    # bu's answers all lie in [0, MODULUS) and its blocks have at most 10 columns, so each block
+    # fits the lanes; the row path would only cost time, so only a patch can see it taken
+    rng = random.Random(39)
+    inputs = [[rng.randint(-(10**9), 10**9) for _ in range(m)] for m in range(2, 17)]
+    values = [solve(MODSUM, xs) for xs in inputs]
+
+    def refuse(ys):
+        raise AssertionError(f"bu handed modsum's row path the row {ys}")
+
+    monkeypatch.setattr(instances, "_modsum_combine", refuse)
+    assert [solve(MODSUM, xs) for xs in inputs] == values
 
 
 @given(x=st.characters() | st.integers())
