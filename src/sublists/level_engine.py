@@ -154,10 +154,12 @@ def raise_level(level: list[A], k: int, m: int, plans: Sequence[Sequence[Callabl
 def _blocks(level: list[A], k: int, m: int, plans: Sequence[Sequence[Callable]]) -> Iterator[list]:
     """``raise_level``'s blocks of level k of m, the C(m, k) answers of ``level``, as column lists.
 
-    Each column is a getter's tuple or a list, as long as the block has rows. Each dead stretch of
-    ``level`` is a prefix of what is left, so deleting each one once its last block is done frees the
-    answers in the order they were made, as long as no column outlives the list that owns its answers:
-    each frame drops its columns after its yield.
+    When the plans are for m elements, the level is one block, plan k's getters applied to it. Else ``up``'s
+    clause 4 splits it: X's blocks (for k = 1, X's one answer repeated), each given its column k from T in
+    order, then T's blocks, then a clear, which drops T's one answer on the last level. Each column is a
+    getter's tuple or a list, one answer per row. Each dead stretch of ``level`` is a prefix of what is
+    left, so deleting each one once its last block is done frees the answers in the order they were made, as
+    long as no column outlives the list that owns its answers: each frame drops its columns after its yield.
     """
     if m == len(plans) + 1:
         yield [column(level) for column in plans[k - 1]]
@@ -167,23 +169,19 @@ def _blocks(level: list[A], k: int, m: int, plans: Sequence[Sequence[Callable]])
         level.clear()
         return
     t = comb(m - 1, k - 1)  # X = level[:t], T = level[t:]
-    if k == 1:
-        yield [[level[0]] * (m - 1), level[t:]]
-        del level[:t]
-    else:
-        blocks = _blocks(level[:t], k - 1, m - 1, plans)  # it owns X
-        del level[:t]
-        t = 0
-        for columns in blocks:
-            rows = len(columns[-1])
-            columns.append(level[t : t + rows])
-            yield columns
-            del columns
-            t += rows
+    # the blocks own X; an exhausted list iterator lets go of its one block
+    blocks = _blocks(level[:t], k - 1, m - 1, plans) if k > 1 else iter([[level[:1] * (m - 1)]])
+    del level[:t]
+    t = 0
+    for columns in blocks:
+        rows = len(columns[-1])
+        columns.append(level[t : t + rows])
+        yield columns
+        del columns
+        t += rows
     if k < m - 1:
         yield from _blocks(level, k, m - 1, plans)
-    else:  # the last level's one row keeps the first element, and T is its one answer
-        level.clear()
+    level.clear()
 
 
 def upgrade_oracle(k: int, xs: S) -> list[list[S]]:

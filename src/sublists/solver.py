@@ -62,7 +62,7 @@ class SublistProblem(Generic[X, Y]):
     base: Callable[[X], Y]
     combine: Callable[[list[Y]], Y]
     input_kind: str = "chars"
-    combine_level: Callable[[list[Iterable[Y]]], Iterable[Y]] | None = None
+    combine_level: Callable[[list[Sequence[Y]]], Iterable[Y]] | None = None
 
 
 @dataclass

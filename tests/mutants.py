@@ -37,16 +37,11 @@ _COST_CHECK = '    if n < 0:\n        raise EmptyInput("an empty input has no ru
 _EXAMPLE_CHECK = '    if length < 0:\n        raise ValueError(f"cannot build an example input of length {length}")\n'
 _INTS_EXAMPLE = '    if problem.input_kind == "ints":\n        return list(range(1, length + 1))\n'
 _KEEPS = (  # _blocks' rows that keep the first element, then those that drop it
-    "    if k == 1:\n        yield [[level[0]] * (m - 1), level[t:]]\n        del level[:t]\n    else:\n"
-    "        blocks = _blocks(level[:t], k - 1, m - 1, plans)  # it owns X\n"
-    "        del level[:t]\n        t = 0\n        for columns in blocks:\n            rows = len(columns[-1])\n"
-    "            columns.append(level[t : t + rows])\n            yield columns\n            del columns\n"
-    "            t += rows\n"
+    "    for columns in blocks:\n        rows = len(columns[-1])\n        columns.append(level[t : t + rows])\n"
+    "        yield columns\n        del columns\n        t += rows\n"
 )
-_DROPS = (
-    "    if k < m - 1:\n        yield from _blocks(level, k, m - 1, plans)\n"
-    "    else:  # the last level's one row keeps the first element, and T is its one answer\n        level.clear()\n"
-)
+_DROPS = "    if k < m - 1:\n        yield from _blocks(level, k, m - 1, plans)\n"
+_X_BLOCKS = "iter([[level[:1] * (m - 1)]])"  # at k = 1, X's one block: its one answer repeated
 _TD_COST = (
     "    if Algorithm(algo) is Algorithm.TOP_DOWN:\n        g_calls = 0\n"
     "        for j in range(2, m + 1):\n            g_calls = 1 + j * g_calls\n"
@@ -137,24 +132,28 @@ MUTANTS = [
     ("instances.py", 'SublistProblem("trace", str,', 'SublistProblem("trace", repr,',
      "trace's base is str"),
     # the split of a level above the stored length by up's clause 4, held by the up-flat law's
-    # blocks split by clause 4 alone, with no plan, and by bu above 10 elements
+    # blocks split by clause 4 alone, with no plan, and by bu above 10 elements; X one answer longer
+    # (level[: t + 1]) and the getters built from one position more are equivalent and not listed: the
+    # split reads T only as far as X's blocks have rows, so a trailing extra answer is never read
     ("level_engine.py", "    t = comb(m - 1, k - 1)  #", "    t = comb(m - 1, k - 1) + 1  #",
      "the split cuts a level after the C(m-1, k-1) answers that keep the first element"),
     ("level_engine.py", "columns.append(level[t : t + rows])", "columns.append(level[t - rows : t])",
      "the rows that keep the first element take their last column from T, not X"),
     ("level_engine.py", _KEEPS + _DROPS, _DROPS + _KEEPS,
      "the rows that keep the first element come before the rows that drop it"),
-    ("level_engine.py", "[level[0]] * (m - 1)", "[level[0]] * (m - 2)",
+    ("level_engine.py", _X_BLOCKS, "iter([[level[:1] * (m - 2)]])",
      "at k = 1 the first element's answer is repeated once per later element"),
-    ("level_engine.py", "[level[0]] * (m - 1)", '__import__("itertools").repeat(level[0], m - 1)',
+    ("level_engine.py", _X_BLOCKS, 'iter([__import__("itertools").repeat(level[0], m - 1)])',
      "at k = 1 the repeated column is a list, so every column bu hands over is a sequence"),
     ("level_engine.py", "t = comb(m - 1, k - 1)", "t = comb(m - 1, k)",
      "X, the answers that keep the first element, is the level's first C(m-1, k-1), not C(m-1, k)"),
-    ("level_engine.py", "[level[0]] * (m - 1)", "[level[1]] * (m - 1)",
+    ("level_engine.py", _X_BLOCKS, "iter([[level[1:2] * (m - 1)]])",
      "at k = 1 the repeated answer is X's one answer, the level's first"),
+    ("level_engine.py", "plans) if k > 1 else", "plans) if k > 2 else",
+     "X is raised as a level of its own for every k above 1; only at k = 1 is it one answer"),
     ("level_engine.py", "rows = len(columns[-1])", "rows = len(columns[-1]) - 1",
      "a block's row count is the length of its last column"),
-    ("level_engine.py", "_blocks(level[:t], k - 1", "_blocks(level[: t + 1], k - 1",
+    ("level_engine.py", "_blocks(level[:t], k - 1", "_blocks(level[: t - 1], k - 1",
      "X ends where T starts"),
     ("level_engine.py", "_blocks(level[:t], k - 1", "_blocks(level[1:t], k - 1",
      "X starts at the level's front"),
@@ -175,8 +174,8 @@ MUTANTS = [
      "a one-row column, on the last level, still comes back as a sequence"),
     ("level_engine.py", "itemgetter(slice(p, p + 1))", "itemgetter(slice(p, p + 2))",
      "a one-row column slices out its one position alone"),
-    ("level_engine.py", "_blocks(list(range(comb(m, k))), k, m, ())", "_blocks(list(range(comb(m, k) + 1)), k, m, ())",
-     "the getters are built from level k's C(m, k) positions, not one more"),
+    ("level_engine.py", "_blocks(list(range(comb(m, k))), k, m, ())", "_blocks(list(range(comb(m, k) - 1)), k, m, ())",
+     "the getters are built from level k's C(m, k) positions, not one fewer"),
     ("level_engine.py", "_blocks(list(range(comb(m, k))), k, m, ())", "_blocks(list(range(1, comb(m, k) + 1)), k, m, ())",
      "a level's positions count from its front, from 0"),
     ("level_engine.py", "    for k in range(1, m):\n", "    for k in range(1, m - 1):\n",
@@ -189,20 +188,22 @@ MUTANTS = [
      "the laws raise a copy of each level, as a raise consumes its level and they raise each one twice"),
     # the raise consumes its level, deleting each stretch once no later block reads it, held by the
     # count of answers alive at once, the free order and the emptied level
-    ("level_engine.py", "        del level[:t]\n        t = 0\n", "",
+    ("level_engine.py", "    del level[:t]\n    t = 0\n", "",
      "the answers that keep the first element go once the rows that keep it are raised"),
-    ("level_engine.py", "        del level[:t]\n        t = 0\n", "        del level[: t + 1]\n        t = 0\n",
+    ("level_engine.py", "    del level[:t]\n    t = 0\n", "    t = 0\n",
+     "the split deletes X, so the rows that keep the first element read their column from T's front"),
+    ("level_engine.py", "    del level[:t]\n    t = 0\n", "    del level[: t + 1]\n    t = 0\n",
      "the split deletes X alone, not T's first answer with it"),
-    ("level_engine.py", "(m - 1), level[t:]]\n        del level[:t]\n", "(m - 1), level[t:]]\n",
-     "at k = 1 the split deletes X's one answer once its block is raised"),
+    ("level_engine.py", _X_BLOCKS, "[[level[:1] * (m - 1)]]",
+     "at k = 1 X's one block is let go once the loop has read it, not kept through T's raise"),
     ("level_engine.py", "        level.clear()\n        return\n", "        return\n",
      "a level gathered by a stored plan is cleared once its one block is raised"),
-    ("level_engine.py", "    else:  # the last level's one row keeps the first element, and T is its one answer\n"
-     "        level.clear()\n", "",
+    ("level_engine.py", "        yield from _blocks(level, k, m - 1, plans)\n    level.clear()\n",
+     "        yield from _blocks(level, k, m - 1, plans)\n",
      "the last level's one answer that drops the first element is deleted once its row is raised"),
     ("level_engine.py", "        del columns\n    return raised\n", "    return raised\n",
      "raise_level drops each block's columns before the walk frees the answers they hold"),
-    ("level_engine.py", "            yield columns\n            del columns\n", "            yield columns\n",
+    ("level_engine.py", "        yield columns\n        del columns\n", "        yield columns\n",
      "each clause-4 frame drops its columns before the walk frees the answers they hold"),
     # the one sweep of inputs, in replay: each law's first length and the last, held by the case
     # counts; combine-level's 2 -> 1 is equivalent and not listed, since a one-element input has no

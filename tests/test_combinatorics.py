@@ -154,7 +154,7 @@ def test_valid_shapes_respect_the_bound():
                 assert k <= n
 
 
-def test_spine_sizes_worked_example():
+def test_pascal_spine_worked_example():
     # the pascal-spine law's sides at each k on "abcde": (left spine sizes, right spine sizes)
     cases = {info["k"]: (lhs, rhs) for info, lhs, rhs in laws.pascal_spine("abcde")}
     assert list(cases) == [1, 2, 3, 4, 5]
