@@ -96,32 +96,23 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     n = len(xs) - 1
     algos = list(solver.Algorithm) if args.algo == "both" else [solver.Algorithm(args.algo)]
-    outcomes = [(algo, *solver.run_with_stats(algo, n, problem, xs)) for algo in algos]
-
-    verdict = None
-    if len(outcomes) == 2:
-        verdict = "EQUAL" if outcomes[0][1] == outcomes[1][1] else "DIFFER"
+    results = {}
+    for algo in algos:
+        value, stats = solver.run_with_stats(algo, n, problem, xs)
+        results[algo.value] = {"value": value, "stats": vars(stats)}
+    doc = {"command": "run", "problem": problem.name, "input": args.input, "results": results}
+    if len(results) == 2:
+        doc["verdict"] = "EQUAL" if results["td"]["value"] == results["bu"]["value"] else "DIFFER"
 
     if args.format == "json":
-        doc = {
-            "command": "run",
-            "problem": problem.name,
-            "input": args.input,
-            "results": {
-                algo.value: {"value": value, "stats": vars(stats)}
-                for algo, value, stats in outcomes
-            },
-        }
-        if verdict is not None:
-            doc["verdict"] = verdict
         print(json.dumps(doc, separators=(",", ":")))
     else:
-        for algo, value, stats in outcomes:
-            print(f"{algo.value} result: {value}")
-            print(f"{algo.value} stats:", *(f"{name}={count}" for name, count in vars(stats).items()))
-        if verdict is not None:
-            print(f"verdict: {verdict}")
-    return 1 if verdict == "DIFFER" else 0
+        for algo, result in results.items():
+            print(f"{algo} result: {result['value']}")
+            print(f"{algo} stats:", *(f"{name}={count}" for name, count in result["stats"].items()))
+        if "verdict" in doc:
+            print(f"verdict: {doc['verdict']}")
+    return 1 if doc.get("verdict") == "DIFFER" else 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -132,29 +123,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         results = laws.replay_all(args.max_len)
     except laws.Counterexample as cx:
-        if args.format == "json":
-            doc = {"command": "verify", "status": "fail", "law": cx.law, "counterexample": cx.info}
-            print(json.dumps(doc, separators=(",", ":")))
-        else:
-            print(f"law {cx.law}: counterexample")
-            for key, value in cx.info.items():
-                print(f"  {key}: {value}")
-        return 1
-    total = sum(count for _, count in results)
-    if args.format == "json":
+        doc = {"command": "verify", "status": "fail", "law": cx.law, "counterexample": cx.info}
+    else:
         doc = {
             "command": "verify",
             "status": "ok",
             "max_len": args.max_len,
             "laws": [{"name": name, "cases": count} for name, count in results],
-            "total_cases": total,
+            "total_cases": sum(count for _, count in results),
         }
+    if args.format == "json":
         print(json.dumps(doc, separators=(",", ":")))
+    elif doc["status"] == "fail":
+        print(f"law {doc['law']}: counterexample")
+        for key, value in doc["counterexample"].items():
+            print(f"  {key}: {value}")
     else:
-        for name, count in results:
-            print(f"law {name}: {count} cases ok")
-        print(f"all laws passed ({total} cases)")
-    return 0
+        for law in doc["laws"]:
+            print(f"law {law['name']}: {law['cases']} cases ok")
+        print(f"all laws passed ({doc['total_cases']} cases)")
+    return 0 if doc["status"] == "ok" else 1
 
 
 def cmd_dump(args: argparse.Namespace) -> int:

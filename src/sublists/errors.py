@@ -28,7 +28,8 @@ class OutOfRange(SublistsError):
 
 
 class MalformedLevel(SublistsError):
-    """A tree fed to the level-raising step, or a level that the step makes, is not shaped like a level."""
+    """A tree fed to the level-raising step is not shaped like a level, a level fed to it does not hold
+    its C(m, k) answers, or a block it raises gets other than one answer per row."""
 
 
 class LengthMismatch(SublistsError):

@@ -137,9 +137,9 @@ def raise_level(level: list[A], k: int, m: int, plans: Sequence[Sequence[Callabl
     their first k columns from X raised as level k-1 of m-1 (for k = 1, X's one answer repeated) and
     their column k from T in order; the rows that drop it are T raised as level k of m-1. So above 10
     elements the level splits down to 10, and with ``()`` it splits all the way down, by clause 4 alone.
-    A block must get one answer per row; a block that gets more or fewer raises MalformedLevel. The raise
-    consumes ``level``: each stretch of its answers is deleted once no later block reads it, X once the
-    rows that keep the first element are raised, so ``level`` ends empty; copy it to keep it.
+    A level that does not hold its C(m, k) answers (as when an earlier raise emptied it) raises
+    MalformedLevel naming both counts, and so does a block that gets more or fewer answers than it has rows. The raise consumes ``level``: each stretch of its answers is deleted once no
+    later block reads it, X once the rows that keep the first element are raised, so ``level`` ends empty.
     """
     raised = []
     for columns in _blocks(level, k, m, plans):
@@ -156,11 +156,15 @@ def _blocks(level: list[A], k: int, m: int, plans: Sequence[Sequence[Callable]])
 
     When the plans are for m elements, the level is one block, plan k's getters applied to it. Else ``up``'s
     clause 4 splits it: X's blocks (for k = 1, X's one answer repeated), each given its column k from T in
-    order, then T's blocks, then a clear, which drops T's one answer on the last level. Each column is a
-    getter's tuple or a list, one answer per row. Each dead stretch of ``level`` is a prefix of what is
-    left, so deleting each one once its last block is done frees the answers in the order they were made, as
-    long as no column outlives the list that owns its answers: each frame drops its columns after its yield.
+    order, then T's blocks, then a clear, which drops T's one answer on the last level. A ``level`` of other
+    than C(m, k) answers raises MalformedLevel, and X and T are split, so checked, by calls of their own.
+    Each column is a getter's tuple or a list, one answer per row. Each dead stretch of ``level`` is a prefix
+    of what is left, so deleting each one once its last block is done frees the answers in the order they
+    were made, as long as no column outlives the list that owns its answers: each frame drops its columns
+    after its yield.
     """
+    if len(level) != comb(m, k):
+        raise MalformedLevel(f"level {k} of {m} elements holds {len(level)} answers, not {comb(m, k)}")
     if m == len(plans) + 1:
         yield [column(level) for column in plans[k - 1]]
         # a list frees its items last to first; reversed, the spent answers go in the order

@@ -128,7 +128,9 @@ def levels(problem: SublistProblem[X, Y], xs: Sequence[X]) -> Iterator[list[Y]]:
     ``up``'s clause 4 down to 10. Each block goes to ``combine_level`` when the problem has one, and
     otherwise every row goes to ``combine``, on a fresh list. Each level is a new list, which the next
     raise consumes: it deletes each stretch of the level's answers once no later block reads it, so the
-    yielded list is empty after the next yield; copy a level to keep it.
+    yielded list is empty after the next yield: ``list(levels(MODSUM, [1, 2, 3, 4]))`` is ``[[], [], [],
+    [638]]``. Copy a level to keep it; ``raise_level`` refuses a kept level with MalformedLevel. (A copy
+    yielded here would stay alive through the next raise, in ``bu``'s loop variable, and raise its peak.)
     """
     combine_level = problem.combine_level or (lambda columns: map(problem.combine, map(list, zip(*columns))))
     level = [problem.base(x) for x in xs]

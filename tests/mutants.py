@@ -132,9 +132,7 @@ MUTANTS = [
     ("instances.py", 'SublistProblem("trace", str,', 'SublistProblem("trace", repr,',
      "trace's base is str"),
     # the split of a level above the stored length by up's clause 4, held by the up-flat law's
-    # blocks split by clause 4 alone, with no plan, and by bu above 10 elements; X one answer longer
-    # (level[: t + 1]) and the getters built from one position more are equivalent and not listed: the
-    # split reads T only as far as X's blocks have rows, so a trailing extra answer is never read
+    # blocks split by clause 4 alone, with no plan, and by bu above 10 elements
     ("level_engine.py", "    t = comb(m - 1, k - 1)  #", "    t = comb(m - 1, k - 1) + 1  #",
      "the split cuts a level after the C(m-1, k-1) answers that keep the first element"),
     ("level_engine.py", "columns.append(level[t : t + rows])", "columns.append(level[t - rows : t])",
@@ -157,6 +155,15 @@ MUTANTS = [
      "X ends where T starts"),
     ("level_engine.py", "_blocks(level[:t], k - 1", "_blocks(level[1:t], k - 1",
      "X starts at the level's front"),
+    ("level_engine.py", "_blocks(level[:t], k - 1", "_blocks(level[: t + 1], k - 1",
+     "X ends where T starts, not one answer into T"),
+    # each split checks that its level holds its C(m, k) answers, held by the refusal tests
+    ("level_engine.py", "    if len(level) != comb(m, k):\n", "    if False:\n",
+     "a raise refuses a level that does not hold its C(m, k) answers"),
+    ("level_engine.py", "if len(level) != comb(m, k):", "if len(level) > comb(m, k):",
+     "a raise refuses a level one answer short, not only one too long"),
+    ("level_engine.py", "not {comb(m, k)}", "not {comb(m, k) + 1}",
+     "the refusal names the C(m, k) answers the level should hold"),
     # the one way into the stored plans, gather_plan's clamp and cache, the column getters and
     # raise_level's use of them, held by the plan tests and the up-flat and combine-level laws; one
     # mutant here is equivalent and not listed: == -> <= in _blocks' base changes nothing, since
@@ -178,6 +185,8 @@ MUTANTS = [
      "the getters are built from level k's C(m, k) positions, not one fewer"),
     ("level_engine.py", "_blocks(list(range(comb(m, k))), k, m, ())", "_blocks(list(range(1, comb(m, k) + 1)), k, m, ())",
      "a level's positions count from its front, from 0"),
+    ("level_engine.py", "_blocks(list(range(comb(m, k))), k, m, ())", "_blocks(list(range(comb(m, k) + 1)), k, m, ())",
+     "the getters are built from level k's C(m, k) positions, not one more"),
     ("level_engine.py", "    for k in range(1, m):\n", "    for k in range(1, m - 1):\n",
      "every level, the last included, gets its plan"),
     ("level_engine.py", "_column(list(chain.from_iterable(column)))", "_column(list(column[0]))",
@@ -328,6 +337,22 @@ MUTANTS = [
      "bench prints rows to 9 by default"),
     ("cli.py", "{td_cost.g_calls},{bu_cost.g_calls}", "{bu_cost.g_calls},{td_cost.g_calls}",
      "bench prints td's column before bu's"),
+    # run and verify each build one document, which JSON prints and the text form renders; held
+    # by the corpus records and the CLI tests
+    ("cli.py", "    if len(results) == 2:\n", "    if len(results) > 2:\n",
+     "run --algo both gives a verdict"),
+    ("cli.py", 'results["td"]["value"] == results["bu"]["value"]', 'results["td"]["value"] != results["bu"]["value"]',
+     "the verdict is EQUAL when td and bu agree"),
+    ("cli.py", '    return 1 if doc.get("verdict") == "DIFFER" else 0\n', "    return 0\n",
+     "run exits 1 when td and bu differ"),
+    ("cli.py", '        if "verdict" in doc:\n            print(f"verdict: {doc[\'verdict\']}")\n', "",
+     "run's text form prints the verdict"),
+    ("cli.py", '    return 0 if doc["status"] == "ok" else 1\n', "    return 0\n",
+     "verify exits 1 on a counterexample"),
+    ("cli.py", '    elif doc["status"] == "fail":\n', '    elif doc["status"] == "ok":\n',
+     "verify's text form prints the counterexample when a law fails"),
+    ("cli.py", '"total_cases": sum(count for _, count in results)', '"total_cases": len(results)',
+     "verify totals the cases of every law, not the laws"),
 ]
 
 

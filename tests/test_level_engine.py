@@ -302,6 +302,22 @@ def test_a_raise_consumes_its_level_in_order(m):
             assert freed == list(range(comb(m, k))), (k, len(plans))
 
 
+@pytest.mark.parametrize("stored", [True, False], ids=["plans", "no-plan"])
+def test_a_raise_refuses_a_level_of_the_wrong_length(stored):
+    # the over-long level was once raised, its extra answer dropped unread; at 12 elements the stored
+    # plans are for 10, so with them too the level splits by clause 4 first
+    plans = level_engine.gather_plan(12) if stored else ()
+    emptied = list(range(1, 13))
+    assert len(level_engine.raise_level(emptied, 1, 12, plans, MODSUM.combine_level)) == 66
+    for level, k, message in [
+        (list(range(1, 13)) + [999], 1, "level 1 of 12 elements holds 13 answers, not 12"),
+        (list(range(65)), 2, "level 2 of 12 elements holds 65 answers, not 66"),
+        (emptied, 1, "level 1 of 12 elements holds 0 answers, not 12"),
+    ]:
+        with pytest.raises(MalformedLevel, match=f"^{message}$"):
+            level_engine.raise_level(level, k, 12, plans, MODSUM.combine_level)
+
+
 def _resident(*plans) -> int:
     """Bytes the allocator holds for the getters in ``plans`` and all they refer to, each object once.
 

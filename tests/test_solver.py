@@ -21,6 +21,7 @@ from sublists import (
     Algorithm,
     EmptyInput,
     LengthMismatch,
+    MalformedLevel,
     SublistProblem,
     bu,
     builtin_problems,
@@ -29,7 +30,7 @@ from sublists import (
     solve,
     td,
 )
-from sublists import solver
+from sublists import level_engine, solver
 from sublists.instances import trace_answer_length
 
 
@@ -242,6 +243,15 @@ def test_levels_are_a_row_of_pascals_triangle_as_wide_as_predicted():
             sizes = [len(level) for level in copies]
             assert sizes == [comb(m, k) for k in range(1, m + 1)], (problem.name, m)
             assert max(sizes) == solver.predicted_cost("bu", m - 1).peak_level_tips, (problem.name, m)
+
+
+def test_levels_hands_each_level_to_the_next_raise():
+    # the stated contract: the next raise consumes the level just yielded, so a kept list is empty,
+    # and raising it again is refused, not answered from nothing
+    kept = list(solver.levels(MODSUM, [1, 2, 3, 4]))
+    assert kept == [[], [], [], [638]]
+    with pytest.raises(MalformedLevel, match="^level 1 of 4 elements holds 0 answers, not 4$"):
+        level_engine.raise_level(kept[0], 1, 4, level_engine.gather_plan(4), MODSUM.combine_level)
 
 
 def test_run_with_stats_returns_the_bare_value():
