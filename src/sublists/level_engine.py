@@ -9,7 +9,9 @@ is exactly the argument a sublist recurrence's combining function wants,
 so one ``up`` plus one tip-wise map advances a whole level. ``bu`` and the
 laws take that step by ``raise_level``, which gathers by ``gather_plan``
 (``up`` compiled to column getters) up to 10 elements and by ``up``'s clause 4
-above; ``up`` is the specification the law ``up-flat`` checks both against.
+above, and hands the last level over as is, since ``up`` collapses it to one
+tip in ``subs`` order; ``up`` is the specification the law ``up-flat`` checks
+both against.
 
 ``up`` rearranges values purely by position; it never looks at them. Its
 domain is trees of shape (k, n) with 1 <= k < n. The shape (n, n) and
@@ -91,17 +93,16 @@ _STORED = 10  # the longest stored plan; longer levels are gathered by up's clau
 def gather_plan(m: int) -> tuple[tuple[Callable, ...], ...]:
     """``up`` compiled for s = min(m, 10) elements: each raised level's column getters.
 
-    Entry k - 1 is level k's plan, for k = 1..s-1: k + 1 ``itemgetter``s, where column i, applied
-    to level k (``choose`` order), returns every raised row's i-th answer. Row j lists the answers of
-    the (j+1)-th (k+1)-subsequence's immediate sublists in ``subs`` order, so applying the plan's
-    columns yields the tips of ``up``, the specification. A column is a tuple, or a one-item list on
-    the last level, whose one row would make a bare ``itemgetter`` return the answer itself. Plans are
-    stored up to 10 elements; ``raise_level`` splits a longer input's levels down to 10 and gathers
-    the parts by these plans.
+    Entry k - 1 is level k's plan, for k = 1..s-2: k + 1 ``itemgetter``s, where column i, applied to level k
+    (``choose`` order), returns every raised row's i-th answer as a tuple, of at least s rows. Row j lists
+    the answers of the (j+1)-th (k+1)-subsequence's immediate sublists in ``subs`` order, so applying the
+    plan's columns yields the tips of ``up``, the specification. The last level has no plan: its one raised
+    row is the level itself. Plans are stored up to 10 elements; ``raise_level`` splits a longer input's
+    levels down to 10 and gathers the parts by these plans.
 
     Level k's positions, 0 to C(s, k) - 1 from its front, are split by ``up``'s clause 4: ``_blocks``
     with no plan, as ``raise_level`` splits a level above 10. Each length's getters are built on its
-    first call and kept by ``_columns``' cache (s * 2**(s-1) - s positions, 5,110 at 10), so a later
+    first call and kept by ``_columns``' cache (s * 2**(s-1) - 2s positions, 5,100 at 10), so a later
     call builds nothing. Threads that ask for a new length at once may each build it; each gets it whole.
     """
     return _columns(min(m, _STORED))
@@ -109,37 +110,31 @@ def gather_plan(m: int) -> tuple[tuple[Callable, ...], ...]:
 
 @cache  # gather_plan's answer for each length asked for so far
 def _columns(m: int) -> tuple[tuple[Callable, ...], ...]:
-    """``gather_plan(m)``, built: each level of positions split by ``_blocks`` with no plan, into getters."""
+    """``gather_plan(m)``, built: levels 1..m-2 of positions split by ``_blocks`` with no plan, into getters."""
     plans = []
-    for k in range(1, m):
+    for k in range(1, m - 1):
         # each position is below C(10, 5) = 252, a cached small int, so no pool is needed to share them
         blocks = _blocks(list(range(comb(m, k))), k, m, ())
-        plans.append(tuple(_column(list(chain.from_iterable(column))) for column in zip(*blocks)))
+        plans.append(tuple(itemgetter(*chain.from_iterable(column)) for column in zip(*blocks)))
     return tuple(plans)
-
-
-def _column(positions: list[int]) -> Callable:
-    """The getter of one column; ``itemgetter`` of one position would return the answer, not a sequence."""
-    if len(positions) > 1:
-        return itemgetter(*positions)
-    (p,) = positions
-    return itemgetter(slice(p, p + 1))
 
 
 def raise_level(level: list[A], k: int, m: int, plans: Sequence[Sequence[Callable]], combine_level: Callable) -> list:
     """Level k of an m-element input raised a step: ``combine_level``'s answers for its blocks, in a new list.
 
-    ``level`` is level k's C(m, k) answers. ``plans`` is ``gather_plan(m)``, or ``()`` for no plan.
-    A block is consecutive rows as k + 1 columns (column i takes every row's i-th answer). When the
-    plans are for m elements the level is one block, its columns plan k's getters applied to it. A
-    longer level splits by ``up``'s clause 4 on its first element: its first C(m-1, k-1) answers X
-    keep that element and the C(m-1, k) answers T after them drop it. The rows that keep it take
-    their first k columns from X raised as level k-1 of m-1 (for k = 1, X's one answer repeated) and
-    their column k from T in order; the rows that drop it are T raised as level k of m-1. So above 10
-    elements the level splits down to 10, and with ``()`` it splits all the way down, by clause 4 alone.
-    A level that does not hold its C(m, k) answers (as when an earlier raise emptied it) raises
-    MalformedLevel naming both counts, and so does a block that gets more or fewer answers than it has rows. The raise consumes ``level``: each stretch of its answers is deleted once no
-    later block reads it, X once the rows that keep the first element are raised, so ``level`` ends empty.
+    ``level`` is level k's C(m, k) answers. ``plans`` is ``gather_plan(m)``, or ``()`` for no plan. A block
+    is consecutive rows as k + 1 columns (column i takes every row's i-th answer). The last level, k = m-1,
+    is one block of one row, each answer a column of its own; another level, when the plans are for m
+    elements, is one block, its columns plan k's getters applied to it. A longer level splits by ``up``'s
+    clause 4 on its first element: its first C(m-1, k-1) answers X keep that element and the C(m-1, k)
+    answers T after them drop it. The rows that keep it take their first k columns from X raised as level
+    k-1 of m-1 (for k = 1, X's one answer repeated) and their column k from T in order; the rows that drop
+    it are T raised as level k of m-1. So above 10 elements the level splits down to 10, and with ``()`` it
+    splits all the way down, by clause 4 alone. A k outside 1..m-1 raises MalformedLevel naming k and m; so
+    does a level that does not hold its C(m, k) answers (as when an earlier raise emptied it), naming both
+    counts, and a block that gets more or fewer answers than it has rows. The raise consumes ``level``: each
+    stretch of its answers is deleted once no later block reads it, X once the rows that keep the first
+    element are raised, so ``level`` ends empty.
     """
     raised = []
     for columns in _blocks(level, k, m, plans):
@@ -154,19 +149,23 @@ def raise_level(level: list[A], k: int, m: int, plans: Sequence[Sequence[Callabl
 def _blocks(level: list[A], k: int, m: int, plans: Sequence[Sequence[Callable]]) -> Iterator[list]:
     """``raise_level``'s blocks of level k of m, the C(m, k) answers of ``level``, as column lists.
 
-    When the plans are for m elements, the level is one block, plan k's getters applied to it. Else ``up``'s
-    clause 4 splits it: X's blocks (for k = 1, X's one answer repeated), each given its column k from T in
-    order, then T's blocks, then a clear, which drops T's one answer on the last level. A ``level`` of other
-    than C(m, k) answers raises MalformedLevel, and X and T are split, so checked, by calls of their own.
-    Each column is a getter's tuple or a list, one answer per row. Each dead stretch of ``level`` is a prefix
-    of what is left, so deleting each one once its last block is done frees the answers in the order they
-    were made, as long as no column outlives the list that owns its answers: each frame drops its columns
-    after its yield.
+    The last level is one block, one answer per column; another level, when the plans are for m elements,
+    is one block, plan k's getters applied to it. Else ``up``'s clause 4 splits it: X's blocks (for k = 1,
+    X's one answer repeated), each given its column k from T in order, then T's blocks. A k outside 1..m-1,
+    or a ``level`` of other than C(m, k) answers, raises MalformedLevel; X and T are split, so checked, by
+    calls of their own. Each column is a tuple or a list, one answer per row. Each dead stretch of ``level``
+    is a prefix of what is left, so deleting each one once its last block is done frees the answers in the
+    order they were made, as long as no column outlives the list that owns its answers: each frame drops
+    its columns after its yield.
     """
+    if not 0 < k < m:
+        raise MalformedLevel(f"a {m}-element input has no level {k} to raise")
     if len(level) != comb(m, k):
         raise MalformedLevel(f"level {k} of {m} elements holds {len(level)} answers, not {comb(m, k)}")
-    if m == len(plans) + 1:
-        yield [column(level) for column in plans[k - 1]]
+    if k == m - 1 or m == len(plans) + 2:
+        # one block: the last level's one raised row is the level itself, since choose (m - 1) order
+        # is subs order; another level's columns are plan k's getters applied to it
+        yield list(zip(level)) if k == m - 1 else [column(level) for column in plans[k - 1]]
         # a list frees its items last to first; reversed, the spent answers go in the order
         # they were made, so the allocator merges them and gives the memory back
         level.reverse()
@@ -183,9 +182,7 @@ def _blocks(level: list[A], k: int, m: int, plans: Sequence[Sequence[Callable]])
         yield columns
         del columns
         t += rows
-    if k < m - 1:
-        yield from _blocks(level, k, m - 1, plans)
-    level.clear()
+    yield from _blocks(level, k, m - 1, plans)
 
 
 def upgrade_oracle(k: int, xs: S) -> list[list[S]]:

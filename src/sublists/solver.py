@@ -54,8 +54,8 @@ class SublistProblem(Generic[X, Y]):
     ``replace(problem, combine=...)`` keeps the old ``combine_level``, so
     clear or replace it in the same call.
     What it buys, measured for ``modsum`` on Python 3.11.7 (in-process,
-    best of 31): its row path takes ×2.31–2.41 the packed column path's
-    time at 12 ints, ×2.20–2.43 at 15 and ×2.23–2.30 at 16.
+    best of 31, three rounds): its row path takes ×2.28–2.44 the packed
+    column path's time at 12 ints, ×2.21–2.27 at 15 and ×2.30–2.36 at 16.
     """
 
     name: str

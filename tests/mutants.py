@@ -40,8 +40,10 @@ _KEEPS = (  # _blocks' rows that keep the first element, then those that drop it
     "    for columns in blocks:\n        rows = len(columns[-1])\n        columns.append(level[t : t + rows])\n"
     "        yield columns\n        del columns\n        t += rows\n"
 )
-_DROPS = "    if k < m - 1:\n        yield from _blocks(level, k, m - 1, plans)\n"
+_DROPS = "    yield from _blocks(level, k, m - 1, plans)\n"
 _X_BLOCKS = "iter([[level[:1] * (m - 1)]])"  # at k = 1, X's one block: its one answer repeated
+_ONE_BLOCK = "    if k == m - 1 or m == len(plans) + 2:\n"  # the last level, or a level with a stored plan
+_LAST = "list(zip(level))"  # the last level's one row: each answer a column of its own
 _TD_COST = (
     "    if Algorithm(algo) is Algorithm.TOP_DOWN:\n        g_calls = 0\n"
     "        for j in range(2, m + 1):\n            g_calls = 1 + j * g_calls\n"
@@ -157,7 +159,14 @@ MUTANTS = [
      "X starts at the level's front"),
     ("level_engine.py", "_blocks(level[:t], k - 1", "_blocks(level[: t + 1], k - 1",
      "X ends where T starts, not one answer into T"),
-    # each split checks that its level holds its C(m, k) answers, held by the refusal tests
+    # each split checks that its level is one of 1..m-1 and holds its C(m, k) answers, held by the
+    # refusal tests
+    ("level_engine.py", "    if not 0 < k < m:\n", "    if False:\n",
+     "a raise refuses a level index outside 1..m-1"),
+    ("level_engine.py", "if not 0 < k < m:", "if not 0 <= k < m:",
+     "a raise refuses level 0, which has no immediate sublists to gather"),
+    ("level_engine.py", "if not 0 < k < m:", "if not 0 < k <= m:",
+     "a raise refuses level m, the one answer of the whole input"),
     ("level_engine.py", "    if len(level) != comb(m, k):\n", "    if False:\n",
      "a raise refuses a level that does not hold its C(m, k) answers"),
     ("level_engine.py", "if len(level) != comb(m, k):", "if len(level) > comb(m, k):",
@@ -166,9 +175,9 @@ MUTANTS = [
      "the refusal names the C(m, k) answers the level should hold"),
     # the one way into the stored plans, gather_plan's clamp and cache, the column getters and
     # raise_level's use of them, held by the plan tests and the up-flat and combine-level laws; one
-    # mutant here is equivalent and not listed: == -> <= in _blocks' base changes nothing, since
-    # every caller passes plans of exactly the length the split reaches (gather_plan(m) for
-    # m <= 10 at the top, 10 from above, and () never reaches m = 1)
+    # mutant here is equivalent and not listed: == -> <= in _blocks' stored base changes nothing,
+    # since every caller passes plans of exactly the length the split reaches (gather_plan(m) for
+    # m <= 10 at the top, 10 from above, and () reaches m = 2 only on the last level)
     ("level_engine.py", "_columns(min(m, _STORED))", "_columns(min(m + 1, _STORED))",
      "gather_plan answers for min(m, 10) elements, not one more"),
     ("level_engine.py", "_columns(min(m, _STORED))", "_columns(min(m, _STORED - 1))",
@@ -177,20 +186,32 @@ MUTANTS = [
      "each length's getters are built once; a warm call builds nothing"),
     ("level_engine.py", "[column(level) for column in plans[k - 1]]", "[column(level) for column in plans[k - 1][:k]]",
      "a block gathered by a plan gets every one of its k + 1 columns"),
-    ("level_engine.py", "    if len(positions) > 1:\n", "    if len(positions) > 0:\n",
-     "a one-row column, on the last level, still comes back as a sequence"),
-    ("level_engine.py", "itemgetter(slice(p, p + 1))", "itemgetter(slice(p, p + 2))",
-     "a one-row column slices out its one position alone"),
+    ("level_engine.py", "m == len(plans) + 2:", "m == len(plans) + 1:",
+     "a level is gathered by its stored plan when the plans are for its m elements"),
     ("level_engine.py", "_blocks(list(range(comb(m, k))), k, m, ())", "_blocks(list(range(comb(m, k) - 1)), k, m, ())",
      "the getters are built from level k's C(m, k) positions, not one fewer"),
     ("level_engine.py", "_blocks(list(range(comb(m, k))), k, m, ())", "_blocks(list(range(1, comb(m, k) + 1)), k, m, ())",
      "a level's positions count from its front, from 0"),
     ("level_engine.py", "_blocks(list(range(comb(m, k))), k, m, ())", "_blocks(list(range(comb(m, k) + 1)), k, m, ())",
      "the getters are built from level k's C(m, k) positions, not one more"),
-    ("level_engine.py", "    for k in range(1, m):\n", "    for k in range(1, m - 1):\n",
-     "every level, the last included, gets its plan"),
-    ("level_engine.py", "_column(list(chain.from_iterable(column)))", "_column(list(column[0]))",
+    ("level_engine.py", "    for k in range(1, m - 1):\n", "    for k in range(1, m):\n",
+     "only the levels below the last get a plan; the last is raised as itself"),
+    ("level_engine.py", "itemgetter(*chain.from_iterable(column))", "itemgetter(*column[0])",
      "a getter's column runs across every block of the split level"),
+    # the last level, raised as one row that is the level itself, held by the stored-plan test's
+    # last-level check and the up-flat law
+    ("level_engine.py", _ONE_BLOCK, "    if k == m - 2 or m == len(plans) + 2:\n",
+     "the last level, k = m - 1, is raised as one block, with the stored plans or with none"),
+    ("level_engine.py", _ONE_BLOCK, "    if m == len(plans) + 2:\n",
+     "with no stored plan the last level is still one block, not split by clause 4"),
+    ("level_engine.py", f"{_LAST} if k == m - 1 else", "",
+     "the last level has no stored plan; its one row is the level itself"),
+    ("level_engine.py", _LAST, "list(zip(level[:-1]))",
+     "the last level's one row takes every one of its m answers"),
+    ("level_engine.py", _LAST, "list(zip(level, level))",
+     "each of the last level's columns holds one row"),
+    ("level_engine.py", _LAST, "list(zip(level[::-1]))",
+     "the last level's row keeps the level's order, since choose (m - 1) order is subs order"),
     ("laws.py", "(level_engine.gather_plan(n), ())", "(level_engine.gather_plan(n),)",
      "the laws also gather by clause 4 alone, with no plan, as bu does above 10 elements"),
     ("laws.py", "raise_level(list(level), k, n,", "raise_level(level, k, n,",
@@ -206,10 +227,7 @@ MUTANTS = [
     ("level_engine.py", _X_BLOCKS, "[[level[:1] * (m - 1)]]",
      "at k = 1 X's one block is let go once the loop has read it, not kept through T's raise"),
     ("level_engine.py", "        level.clear()\n        return\n", "        return\n",
-     "a level gathered by a stored plan is cleared once its one block is raised"),
-    ("level_engine.py", "        yield from _blocks(level, k, m - 1, plans)\n    level.clear()\n",
-     "        yield from _blocks(level, k, m - 1, plans)\n",
-     "the last level's one answer that drops the first element is deleted once its row is raised"),
+     "a level raised as one block is cleared once its block is raised"),
     ("level_engine.py", "        del columns\n    return raised\n", "    return raised\n",
      "raise_level drops each block's columns before the walk frees the answers they hold"),
     ("level_engine.py", "        yield columns\n        del columns\n", "        yield columns\n",

@@ -275,12 +275,21 @@ shape_indices = st.sampled_from([(k, n) for n in range(2, 7) for k in range(1, n
 
 
 def test_every_stored_plan_is_up_on_distinct_tips():
-    # on distinct values the gathered rows name every position, so this pins each stored plan whole
+    # on distinct values the gathered rows name every position, so this pins each stored plan whole;
+    # the last level has no plan, its one raised row being the level itself, so its raise is checked,
+    # with the stored plans and with none
+    def row(columns):  # every column is a sequence, a one-row one too
+        assert all(type(column) in (tuple, list) for column in columns)
+        return [[value for (value,) in columns]]
+
     for m in range(2, level_engine._STORED + 1):
         for k in range(1, m):
             values = list(range(comb(m, k)))
             t = tree_of_shape(k, m, iter(values).__next__)
-            assert gather(values, level_engine.gather_plan(m)[k - 1]) == tips(up(t)), (k, m)
+            if k < m - 1:
+                assert gather(values, level_engine.gather_plan(m)[k - 1]) == tips(up(t)), (k, m)
+        for plans in (level_engine.gather_plan(m), ()):  # k = m - 1 and its tree, from the loop's last pass
+            assert level_engine.raise_level(list(values), k, m, plans, row) == tips(up(t)), (m, len(plans))
 
 
 @pytest.mark.parametrize("m", [2, 5, 10, 12])
@@ -318,6 +327,15 @@ def test_a_raise_refuses_a_level_of_the_wrong_length(stored):
             level_engine.raise_level(level, k, 12, plans, MODSUM.combine_level)
 
 
+@pytest.mark.parametrize("stored", [True, False], ids=["plans", "no-plan"])
+def test_a_raise_refuses_levels_0_and_m(stored):
+    # each holds its C(m, k) = 1 answer, so only the index can refuse it
+    plans = level_engine.gather_plan(4) if stored else ()
+    for k in (0, 4):
+        with pytest.raises(MalformedLevel, match=f"^a 4-element input has no level {k} to raise$"):
+            level_engine.raise_level([5], k, 4, plans, MODSUM.combine_level)
+
+
 def _resident(*plans) -> int:
     """Bytes the allocator holds for the getters in ``plans`` and all they refer to, each object once.
 
@@ -344,30 +362,26 @@ def _applied(plans, m: int) -> list[list[list]]:
 
 
 def _positions(column) -> list[int]:
-    """The positions one getter reads: its items, a one-row getter's slice spelt out."""
-    items = column.__reduce__()[1]
-    return [p for item in items for p in (range(item.start, item.stop) if type(item) is slice else [item])]
+    """The positions one getter reads."""
+    return list(column.__reduce__()[1])
 
 
 def test_gather_plans_are_cached_column_getters_over_level_positions():
     # tests share one process, so start from an empty cache
     level_engine._columns.cache_clear()
     plans = level_engine.gather_plan(7)
-    assert [len(plan) for plan in plans] == [k + 1 for k in range(1, 7)]
+    assert [len(plan) for plan in plans] == [k + 1 for k in range(1, 7 - 1)]
     assert all(type(column) is operator.itemgetter for plan in plans for column in plan)
-    assert level_engine.gather_plan(1) == ()
-    assert _applied(level_engine.gather_plan(2), 2) == [[[0, 1]]]
+    assert level_engine.gather_plan(1) == level_engine.gather_plan(2) == ()
 
-    # every column is a sequence, a one-row one too: the last level's one row is the level itself
-    level = list("abcdefg")
-    assert [column(level) for column in plans[-1]] == [[c] for c in level]
-    assert [type(column(list(range(21)))) for column in plans[-2]] == [tuple] * 6  # C(7, 5) answers
+    # the last level has no plan, so every column has at least 3 rows and its getter returns a tuple
+    assert [type(column(list(range(21)))) for column in plans[-1]] == [tuple] * 6  # C(7, 5) answers
 
     # a warm call, or a longer length, builds nothing; each position is one int object
     assert level_engine.gather_plan(7) is plans
     assert level_engine.gather_plan(20) is level_engine.gather_plan(10) is level_engine.gather_plan(12)
     assert level_engine._columns.cache_info().currsize == 4  # 7, 1, 2 and 10
-    items = [p for plan in level_engine.gather_plan(10)[:-1] for column in plan for p in column.__reduce__()[1]]
+    items = [p for plan in level_engine.gather_plan(10) for column in plan for p in _positions(column)]
     assert len({id(p) for p in items}) == len(set(items)) == comb(10, 5)
 
     # each level is read from its front: every getter of level k reads only its C(m, k) positions
@@ -389,7 +403,7 @@ def test_gather_plans_are_cached_column_getters_over_level_positions():
     finally:
         tracemalloc.stop()
     assert level_engine._columns.cache_info().currsize == 2  # 9 and 10
-    assert sum(len(column.__reduce__()[1]) for plan in level_engine.gather_plan(10) for column in plan) == 5_110
+    assert sum(len(column.__reduce__()[1]) for plan in level_engine.gather_plan(10) for column in plan) == 5_100
     alone = _resident(level_engine.gather_plan(9), level_engine.gather_plan(10))
     assert alone <= resident < alone + 1024  # 252 fresh ints, one per position, would add nearly 8 KiB
 
