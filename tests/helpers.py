@@ -27,6 +27,24 @@ def paper_subs(xs):
     return [head + ys for ys in paper_subs(tail)] + [tail]
 
 
+def paper_ch(k, xs):
+    """The paper's clause, ``ch k (x:xs) = node (map (x:) (ch (k-1) xs)) (ch k xs)``,
+    re-mapping each left subtree with its own prepend (the library lays out ``choose``)."""
+    if k == 0:
+        return Tip(xs[:0])
+    if k == len(xs):
+        return Tip(xs)
+    head, tail = xs[:1], xs[1:]
+    return Node(_prepend(head, paper_ch(k - 1, tail)), paper_ch(k, tail))
+
+
+def _prepend(head, t):
+    """``map (head ++)`` over a tree's tips."""
+    if isinstance(t, Tip):
+        return Tip(head + t.value)
+    return Node(_prepend(head, t.left), _prepend(head, t.right))
+
+
 def paper_td(problem, xs):
     """The paper's ``h xs = g (map h (subs xs))`` with only the singleton clause,
     ``h [x] = f x``, recursing through ``paper_subs``: one frame per sublist."""

@@ -62,8 +62,16 @@ MUTANTS = [
      "a counterexample renders other sides as compact JSON"),
     ("laws.py", "        super().__init__(law)\n", "",
      "a counterexample's message is its law's name"),
-    ("combinatorics.py", "    if k < 1 or n < 1:\n        return False\n", "",
-     "check_shape refuses a node at an index with k < 1 or n < 1"),
+    ("combinatorics.py", "    if k == 0 or k == n:\n        return Tip(next(tips))\n",
+     "    if k == 0:\n        return Tip(next(tips))\n",
+     "ch's shape has a tip at (k, k)"),
+    ("combinatorics.py", "Node(_shape(k - 1, n - 1, tips), _shape(k, n - 1, tips))",
+     "Node(_shape(k, n - 1, tips), _shape(k - 1, n - 1, tips))",
+     "ch's left subtree is the (k - 1, n - 1) one, keeping the first element"),
+    ("combinatorics.py", "iter(choose(k, xs))", "reversed(choose(k, xs))",
+     "ch's tips are choose's selections in order"),
+    ("combinatorics.py", "k == n > 0", "k == n",
+     "check_shape refuses a tip at (k, k) with k < 0"),
     ("level_engine.py", '    raise TypeError(f"not a tree: {t!r}")\n', "",
      "up refuses a value that is not a tree"),
     ("cli.py", "@functools.cache  # built on first use; parsing leaves it unchanged\n", "",

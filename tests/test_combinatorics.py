@@ -8,7 +8,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import paper_subs, prefix, tree_of_shape
+from helpers import paper_ch, paper_subs, prefix, tree_of_shape
 from sublists import (
     Node,
     OutOfRange,
@@ -112,6 +112,8 @@ def test_ch_tips_enumerate_choose_in_order():
         xs = prefix(n)
         for k in range(0, n + 1):
             assert tips(ch(k, xs)) == choose(k, xs)
+            for seq in (xs, list(xs), tuple(xs)):
+                assert ch(k, seq) == paper_ch(k, seq)
     assert tips(ch(2, [1, 2, 3, 4])) == choose(2, [1, 2, 3, 4])
 
 
@@ -127,6 +129,8 @@ def test_check_shape_tip_rules():
     assert check_shape(Tip("x"), (3, 3))
     assert not check_shape(Tip("x"), (2, 3))
     assert not check_shape(Tip("x"), (3, 2))
+    assert not check_shape(Tip("x"), (-1, -1))
+    assert check_shape(Tip("x"), (0, -2))
 
 
 def test_check_shape_node_rules():
