@@ -40,7 +40,7 @@ from .instances import (
     get_problem,
     parse_input,
 )
-from .level_engine import up, upgrade_oracle
+from .level_engine import up
 from .solver import (
     Algorithm,
     RunStats,
@@ -88,6 +88,5 @@ __all__ = [
     "tips",
     "un_tip",
     "up",
-    "upgrade_oracle",
     "zip_tree_with",
 ]

@@ -54,10 +54,10 @@ def upgrade_level(xs: Sequence) -> Iterator[Case]:
 
 
 def upgrade_tips(xs: Sequence) -> Iterator[Case]:
-    """Tips of the raised tree equal the list-level oracle, in order."""
+    """Tips of the raised tree equal the list oracle: each (k+1)-selection's ``subs``, in ``choose`` order."""
     for k in range(1, len(xs)):
         lhs = tree.tips(level_engine.up(comb.ch(k, xs)))
-        yield {"input": xs, "k": k}, lhs, level_engine.upgrade_oracle(k, xs)
+        yield {"input": xs, "k": k}, lhs, [comb.subs(ys) for ys in comb.choose(k + 1, xs)]
 
 
 def _raised(level: list, k: int, n: int, combine_level: Callable[[list], Iterable]) -> list[list]:

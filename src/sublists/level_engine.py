@@ -28,7 +28,6 @@ from math import comb
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence, TypeVar
 
-from .combinatorics import choose, subs
 from .core_tree import (
     BinomialTree,
     Node,
@@ -38,10 +37,9 @@ from .core_tree import (
     un_tip,
     zip_tree_with,
 )
-from .errors import MalformedLevel, NotATip, OutOfRange, ShapeMismatch
+from .errors import MalformedLevel, NotATip, ShapeMismatch
 
 A = TypeVar("A")
-S = TypeVar("S", bound=Sequence)
 
 
 def up(t: BinomialTree[A]) -> BinomialTree[list[A]]:
@@ -183,17 +181,3 @@ def _blocks(level: list[A], k: int, m: int, plans: Sequence[Sequence[Callable]])
         del columns
         t += rows
     yield from _blocks(level, k, m - 1, plans)
-
-
-def upgrade_oracle(k: int, xs: S) -> list[list[S]]:
-    """List-level answer the raised tree must flatten to.
-
-    For each (k+1)-element subsequence of ``xs`` (in ``choose`` order),
-    the list of its immediate sublists. Defined for 1 <= k < len(xs);
-    k == 0 is impossible (a 1-element selection has only the empty
-    sublist, which identifies nothing) and raises OutOfRange.
-    """
-    if k < 1 or k + 1 > len(xs):
-        raise OutOfRange(f"cannot upgrade level {k} of a {len(xs)}-element input")
-    return [subs(ys) for ys in choose(k + 1, xs)]
-

@@ -62,6 +62,8 @@ MUTANTS = [
      "a counterexample renders other sides as compact JSON"),
     ("laws.py", "        super().__init__(law)\n", "",
      "a counterexample's message is its law's name"),
+    ("laws.py", "comb.choose(k + 1, xs)", "comb.choose(k, xs)",
+     "upgrade-tips compares against each (k+1)-selection's sublists"),
     ("combinatorics.py", "    if k == 0 or k == n:\n        return Tip(next(tips))\n",
      "    if k == 0:\n        return Tip(next(tips))\n",
      "ch's shape has a tip at (k, k)"),

@@ -23,7 +23,6 @@ from sublists import (
     TRACE,
     MalformedLevel,
     Node,
-    OutOfRange,
     SublistProblem,
     Tip,
     ch,
@@ -36,7 +35,6 @@ from sublists import (
     td,
     tips,
     up,
-    upgrade_oracle,
     zip_tree_with,
 )
 from sublists import instances, laws, level_engine
@@ -97,7 +95,7 @@ def test_a_counterexample_names_its_law_and_renders_both_sides(monkeypatch):
         "input": "abc",
         "k": 1,
         "lhs": json.dumps(tips(raised), separators=(",", ":")),
-        "rhs": json.dumps(upgrade_oracle(1, "abc"), separators=(",", ":")),
+        "rhs": json.dumps([["a", "b"], ["a", "c"], ["b", "c"]], separators=(",", ":")),
     }
 
 
@@ -236,19 +234,14 @@ def test_up_names_clause_4_on_shape_disagreement():
     assert "clause 4" in str(err.value)
 
 
-def test_upgrade_oracle_worked_example():
-    groups = upgrade_oracle(2, "abcde")
-    assert len(groups) == 10
-    assert groups[:3] == [["ab", "ac", "bc"], ["ab", "ad", "bd"], ["ab", "ae", "be"]]
+def test_up_worked_example_lists_each_selections_sublists():
+    groups = tips(up(ch(2, "abcde")))
+    assert groups == [
+        ["ab", "ac", "bc"], ["ab", "ad", "bd"], ["ab", "ae", "be"], ["ac", "ad", "cd"], ["ac", "ae", "ce"],
+        ["ad", "ae", "de"], ["bc", "bd", "cd"], ["bc", "be", "ce"], ["bd", "be", "de"], ["cd", "ce", "de"],
+    ]
     assert groups == [subs(ys) for ys in choose(3, "abcde")]
-    assert upgrade_oracle(1, "ab") == [["a", "b"]]
-
-
-def test_upgrade_oracle_rejects_impossible_levels():
-    with pytest.raises(OutOfRange):
-        upgrade_oracle(0, "abcde")
-    with pytest.raises(OutOfRange):
-        upgrade_oracle(3, "abc")
+    assert tips(up(ch(1, "ab"))) == [["a", "b"]]
 
 
 def test_raise_then_combine_examples():
